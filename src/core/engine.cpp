@@ -68,7 +68,6 @@ void Engine::prepare() {
   env.simd = opts_.simd;
   env.morsels = opts_.morsels;
   env.emit_buffer = opts_.emit_buffer;
-  env.inline_fire_cutoff = opts_.inline_fire_cutoff;
   // configure() registers each table's orderby literals, so it must run
   // before the order relation is frozen into ranks.
   for (auto& t : tables_) {
@@ -85,18 +84,18 @@ void Engine::process_batch(const DeltaKey& key, BatchNode& node,
   // makes positive queries at timestamp == now deterministic: every tuple
   // of the class is visible before any rule of the class runs.
   const std::size_t slots = node.per_table.size();
-  std::vector<std::vector<std::uint8_t>> keep(slots);
+  if (keep_.size() < slots) keep_.resize(slots);
   std::int64_t batch_tuples = 0;
   for (std::size_t i = 0; i < slots; ++i) {
     if (!node.per_table[i]) continue;
     batch_tuples += static_cast<std::int64_t>(node.per_table[i]->count());
-    tables_[i]->batch_insert_phase(*node.per_table[i], keep[i]);
+    tables_[i]->batch_insert_phase(*node.per_table[i], keep_[i]);
   }
-  // Phase B: effects + rule firing, morsel-spanned fork/join tasks (§5;
-  // sub-threshold batches run inline on this thread).
+  // Phase B: effects + rule firing (§5), on this thread until the phase
+  // proves big enough to share with the pool (lazy_split, core/table.h).
   for (std::size_t i = 0; i < slots; ++i) {
     if (!node.per_table[i]) continue;
-    tables_[i]->batch_fire_phase(*node.per_table[i], keep[i], key);
+    tables_[i]->batch_fire_phase(*node.per_table[i], keep_[i], key);
   }
   // The batch's rule emissions sit in per-thread buffers; the fire-phase
   // join above is the happens-before edge that hands them to this

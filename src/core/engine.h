@@ -77,11 +77,6 @@ struct EngineOptions {
   /// likewise (the differential harnesses pin the reference path with
   /// it).
   bool emit_buffer = true;
-  /// Batches whose (tuples x rules) work is at or under this cutoff run
-  /// their insert/fire phases inline on the coordinator, skipping the
-  /// pool round-trip that dominates deep small-batch chains.  0 restores
-  /// the legacy always-dispatch behaviour (bench_rule_fire's baseline).
-  std::int64_t inline_fire_cutoff = 16;
 };
 
 /// Summary of one Engine::run().
@@ -92,8 +87,8 @@ struct RunReport {
   double seconds = 0.0;
   // Batch-at-a-time emission over the run, summed across tables
   // (TableStats deltas): bulk flushes that reached the Delta tree, rule
-  // puts that travelled through emit buffers, and fire phases that ran
-  // inline on the coordinator instead of a pool round-trip.
+  // puts that travelled through emit buffers, and fire phases that the
+  // coordinator finished alone, without sharing them with the pool.
   std::int64_t emit_flushes = 0;
   std::int64_t emit_buffered = 0;
   std::int64_t inline_batches = 0;
@@ -225,6 +220,9 @@ class Engine {
   EdgeMatrix edges_;
   std::vector<std::unique_ptr<TableBase>> tables_;
   std::unique_ptr<DeltaTree> delta_;
+  // process_batch scratch (coordinator-only): each table's per-tuple
+  // freshness marks, reused across batches.
+  std::vector<std::vector<std::uint8_t>> keep_;
   std::unique_ptr<sched::ForkJoinPool> pool_;        // owned (private) pool
   sched::ForkJoinPool* external_pool_ = nullptr;     // shared pool, not owned
   bool prepared_ = false;

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -346,6 +347,51 @@ class TableDecl {
 
 // ---------------------------------------------------------------------------
 
+/// How long one batch phase runs on the coordinator before the rest of
+/// its items are shared with the pool.  A pool round trip (enqueue,
+/// worker wake-up, join) measured ~3 µs with hot workers and 30-45 µs
+/// after 0.5 ms idle on a 4-vCPU KVM host (bench_rule_fire records it):
+/// a phase that has run two to three idle round trips' worth of work
+/// alone is worth splitting, and most batches of deep causality chains
+/// (Dijkstra's wavefronts) end well before it.
+inline constexpr std::chrono::microseconds kPhaseSplitBudget{100};
+
+/// Lazy splitting (Tzannes et al., "Lazy Binary Splitting", PPoPP 2010)
+/// of one batch phase: runs fn(i) for every i in [0, n), first on the
+/// calling thread, and once that inline slice has run past
+/// kPhaseSplitBudget with items left, hands the rest to
+/// pool->for_each_index (chunk size `grain`, 0 = auto), which the caller
+/// joins.  The clock is read after items 1, 5, 13 and then every 16
+/// items, so one expensive first item splits the phase right after it
+/// while cheap items share a clock read.  Returns whether every item ran
+/// inline; a null pool (sequential mode) or a single item always does.
+template <typename Fn>
+bool lazy_split(sched::ForkJoinPool* pool, std::int64_t n, const Fn& fn,
+                std::int64_t grain = 0) {
+  if (pool == nullptr || n <= 1) {
+    for (std::int64_t i = 0; i < n; ++i) fn(i);
+    return true;
+  }
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point start = Clock::now();
+  std::int64_t check = 1;  // item count at which the clock is next read
+  std::int64_t stride = 2;
+  for (std::int64_t i = 0; i < n;) {
+    fn(i++);
+    if (i != check || i == n) continue;
+    if (Clock::now() - start > kPhaseSplitBudget) {
+      pool->for_each_index(
+          n - i, [&fn, i](std::int64_t j) { fn(i + j); }, grain);
+      return false;
+    }
+    stride = std::min<std::int64_t>(stride * 2, 16);
+    check += stride;
+  }
+  return true;
+}
+
+// ---------------------------------------------------------------------------
+
 /// Type-erased table handle used by the engine loop and the viz module.
 class TableBase {
  public:
@@ -387,11 +433,6 @@ class TableBase {
     /// tree in one bulk append per batch.  The JSTAR_EMIT env
     /// kill-switch is ANDed in at configure() and wins over this.
     bool emit_buffer = true;
-    /// Batches whose (tuples x rules) work is at or under this run their
-    /// insert/fire phases inline on the coordinator (EngineOptions::
-    /// inline_fire_cutoff); 0 restores the legacy always-dispatch
-    /// behaviour, which bench_rule_fire uses as its baseline.
-    std::int64_t inline_fire_cutoff = 16;
     /// The owning engine's epoch clock (streaming); null in unit-test
     /// harnesses that configure tables without an engine.
     const std::atomic<std::int64_t>* epoch = nullptr;
@@ -1116,16 +1157,7 @@ class Table final : public TableBase {
         keep[u] = counted_apply(bv.items[u], s);
       }
     };
-    // Same adaptive cutoff as the fire phase: sub-threshold batches
-    // insert inline on the coordinator instead of paying a pool
-    // round-trip per hop of a deep chain.  (Cutoff 0 keeps the legacy
-    // n > 1 dispatch threshold.)
-    if (env_.pool != nullptr &&
-        n > std::max<std::int64_t>(env_.inline_fire_cutoff, 1)) {
-      env_.pool->for_each_index(n, insert_one);
-    } else {
-      for (std::int64_t i = 0; i < n; ++i) insert_one(i);
-    }
+    lazy_split(env_.pool, n, insert_one);
   }
 
   void batch_fire_phase(BatchVecBase& slice,
@@ -1134,31 +1166,26 @@ class Table final : public TableBase {
     auto& bv = static_cast<BatchVec&>(slice);
     const std::int64_t n = static_cast<std::int64_t>(bv.items.size());
     if (n == 0) return;
-    // Adaptive dispatch: a pool round-trip (task enqueue + worker wake +
-    // join) costs far more than firing a handful of rules, so batches
-    // whose total work (tuples x rules) sits under the cutoff run right
-    // here on the coordinator — the 1-to-few-tuple batches of deep
-    // chain workloads (dijkstra) stop paying a fork/join cycle per hop.
+    // Each phase starts inline on the coordinator and shares its items
+    // with the pool only once it has proved big (lazy_split): the
+    // 1-to-few-tuple batches of deep chains (Dijkstra) never pay a
+    // fork/join round trip, and a batch of expensive rule bodies splits
+    // however few tuples it has.
     const auto rules = static_cast<std::int64_t>(rules_.size());
-    const std::int64_t work = n * std::max<std::int64_t>(1, rules);
-    const bool inline_fire =
-        env_.pool == nullptr || work <= env_.inline_fire_cutoff;
-    if (inline_fire && env_.pool != nullptr) {
-      stats_.inline_batches.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (!inline_fire && env_.task_per_rule && rules > 1 &&
+    bool stayed_inline = true;
+    if (env_.pool != nullptr && env_.task_per_rule && rules > 1 &&
         !decl_.counted_) {
-      // §5.2 fine-grained strategy: one task per (tuple, rule) pair.
-      // Effects run in the rule-0 task so they still happen exactly once
-      // per tuple.  Counted tables skip this strategy: an upsert fires
-      // two cascades per item (displaced then replacement), which the
-      // flat (tuple, rule) indexing cannot express — they use the
-      // per-tuple tasks below instead.  The RuleCtx is hoisted out of
-      // the inner loop: it is immutable (every accessor const), so one
-      // instance per batch is safely shared by all of its tasks.
+      // §5.2 fine-grained strategy: one item per (tuple, rule) pair.
+      // Effects run with rule 0 so they still happen exactly once per
+      // tuple.  Counted tables skip this strategy: an upsert fires two
+      // cascades per item (displaced then replacement), which the flat
+      // (tuple, rule) indexing cannot express — they use the per-tuple
+      // items below instead.  The RuleCtx is hoisted out of the loop: it
+      // is immutable (every accessor const), so one instance per batch is
+      // safely shared by every thread firing it.
       RuleCtx ctx(key, id_, env_.edges, current_epoch());
-      env_.pool->for_each_index(
-          n * rules,
+      stayed_inline = lazy_split(
+          env_.pool, n * rules,
           [&](std::int64_t idx) {
             const std::int64_t i = idx / rules;
             const auto r = static_cast<std::size_t>(idx % rules);
@@ -1169,36 +1196,30 @@ class Table final : public TableBase {
             rules_[r].fn(ctx, t);
           },
           /*grain=*/1);
-      return;
-    }
-    auto fire_one = [&](std::int64_t i) {
-      const auto u = static_cast<std::size_t>(i);
-      switch (keep[u]) {
-        case kKeepInsert:
-          fire_tuple(key, bv.items[u]);
-          break;
-        case kKeepRetract:
-          fire_tuple(key, bv.items[u], -1);
-          break;
-        case kKeepUpsert:
-          // The displaced tuple's downstream cone is retracted before
-          // the replacement's is derived, both at this batch's
-          // timestamp.
-          fire_tuple(key, bv.displaced[u], -1);
-          fire_tuple(key, bv.items[u]);
-          break;
-        default:
-          break;
-      }
-    };
-    if (!inline_fire) {
-      // The paper's all-minimums strategy (§5), morsel-grained: spans of
-      // tuples per task instead of grain=1, so huge batches (matmul
-      // rows, pvwatts hours) stop paying a task spawn per tuple while
-      // small-enough spans keep every worker fed.
-      env_.pool->for_each_index(n, fire_one, fire_grain(n));
     } else {
-      for (std::int64_t i = 0; i < n; ++i) fire_one(i);
+      stayed_inline = lazy_split(env_.pool, n, [&](std::int64_t i) {
+        const auto u = static_cast<std::size_t>(i);
+        switch (keep[u]) {
+          case kKeepInsert:
+            fire_tuple(key, bv.items[u]);
+            break;
+          case kKeepRetract:
+            fire_tuple(key, bv.items[u], -1);
+            break;
+          case kKeepUpsert:
+            // The displaced tuple's downstream cone is retracted before
+            // the replacement's is derived, both at this batch's
+            // timestamp.
+            fire_tuple(key, bv.displaced[u], -1);
+            fire_tuple(key, bv.items[u]);
+            break;
+          default:
+            break;
+        }
+      });
+    }
+    if (stayed_inline && env_.pool != nullptr) {
+      stats_.inline_batches.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
@@ -1390,16 +1411,6 @@ class Table final : public TableBase {
       const EmitRecord& r = *flush_ptrs_[static_cast<std::size_t>(i)];
       append_one(bv, r.tuple, r.sign);
     }
-  }
-
-  /// Morsel-span sizing for the fire loop (the jstar::morsel idiom):
-  /// ~8 spans per worker like for_each_index's auto grain, capped at one
-  /// morsel of rows so enormous batches still yield stealable spans.
-  std::int64_t fire_grain(std::int64_t n) const {
-    const auto p = static_cast<std::int64_t>(env_.pool->size());
-    const std::int64_t span = std::max<std::int64_t>(1, n / (p * 8));
-    return std::min<std::int64_t>(span,
-                                  static_cast<std::int64_t>(morsel::kRows));
   }
 
   struct KeyStep {

@@ -3,14 +3,16 @@
 // the JStar runtime's *all-minimums* parallelisation strategy runs (§5).
 //
 // The pool supports the two operations the engine needs:
-//   * invoke_all   — run a batch of closures and join (one Delta batch)
-//   * for_each_index — dynamic-chunked parallel loop (CSV region readers,
+//   * for_each_index — dynamic-chunked parallel loop the calling thread
+//                      takes part in (batch phases, CSV region readers,
 //                      matrix rows, median partition regions, ...)
+//   * invoke_all   — run a batch of closures and join
 // plus fire-and-forget submit() for the Disruptor-style pipelines.
 //
-// Joining threads *help*: while waiting for a batch to finish they execute
-// tasks from their own deque, the injector queue, or steal from peers, so
-// nested parallelism inside rule bodies cannot deadlock the pool.
+// Nested parallelism inside rule bodies cannot deadlock the pool: a loop's
+// caller can always finish the loop alone, and workers joining an
+// invoke_all batch *help* (run tasks from their own deque, the injector
+// queue, or steal from peers) while they wait.
 #pragma once
 
 #include <atomic>
@@ -76,9 +78,15 @@ class BatchLatch {
   std::exception_ptr exception_;
 };
 
-struct Task {
-  std::function<void()> fn;
-  std::shared_ptr<BatchLatch> latch;  // null for fire-and-forget
+/// A unit of pool work.  run() does the work and then releases the
+/// task's storage; it never throws (closures park exceptions in their
+/// latch or the pool, loop helpers in their loop).
+class Task {
+ public:
+  virtual void run() noexcept = 0;
+
+ protected:
+  ~Task() = default;
 };
 
 }  // namespace detail
@@ -101,8 +109,14 @@ class ForkJoinPool {
   /// concurrent batches on the same pool keep their failures separate.
   void invoke_all(std::vector<std::function<void()>> tasks);
 
-  /// Runs fn(i) for every i in [0, n).  `grain` controls the dynamic chunk
-  /// size (0 = auto).  Blocks until complete.
+  /// Runs fn(i) for every i in [0, n) in `grain`-sized chunks (0 = auto).
+  /// The calling thread takes part: it enqueues at most size() - 1 helper
+  /// tasks and claims chunks alongside them, so `threads = N` still means
+  /// N threads running fn, and current_pool() is this pool inside fn on
+  /// the caller too.  Returns once the range is used up and every chunk a
+  /// helper claimed has ended; a helper that starts later returns without
+  /// calling fn.  The first exception fn throws cancels the unclaimed
+  /// chunks and is rethrown here.
   void for_each_index(std::int64_t n, const std::function<void(std::int64_t)>& fn,
                       std::int64_t grain = 0);
 
@@ -114,7 +128,8 @@ class ForkJoinPool {
   /// since the last wait (invoke_all batches rethrow at their own join).
   void wait_idle();
 
-  /// The pool the calling thread is a worker of, or nullptr.
+  /// The pool the calling thread is a worker of or is running a
+  /// for_each_index loop on, or nullptr.
   static ForkJoinPool* current_pool();
   /// Worker index of the calling thread within current_pool(), or -1.
   static int current_worker_index();
@@ -125,9 +140,15 @@ class ForkJoinPool {
     std::thread thread;
   };
 
+  struct Closure;
+  class Loop;
+
   void worker_loop(int index);
   bool try_run_one(int self_index, SplitMix64& rng);
-  void enqueue(detail::Task* task);
+  /// Makes `copies` runs of `task` available to the workers.
+  void enqueue(detail::Task* task, int copies = 1);
+  /// Wakes one parked worker, if any.
+  void wake_one();
   void help_until(detail::BatchLatch& latch, int self_index);
   void record_exception(std::exception_ptr ep);
   void run_task(detail::Task* t);

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <functional>
 #include <limits>
@@ -82,7 +83,21 @@ struct Program {
   /// dedup layers.  Generators keep fanout/gen small when rules == 2 so
   /// the no-dedup (-noGamma) combinations stay bounded.
   int rules = 1;
+  /// Time each firing of the first rule busy-waits (0 = none).  Cheap
+  /// firings never leave the coordinator (lazy_split, core/table.h), so
+  /// sweeps give some seeds an expensive rule to put phases on the pool.
+  std::chrono::microseconds rule_cost{0};
 };
+
+/// `p` with a first rule just over the lazy-split budget: every fire
+/// phase with a second item left splits after its first item.
+inline Program with_expensive_rules(Program p) {
+  p.rule_cost = kPhaseSplitBudget + std::chrono::microseconds(10);
+  return p;
+}
+
+/// Expensive-rule seeds of the parallel sweeps: one in 40.
+inline bool expensive_seed(std::uint64_t seed) { return seed % 40 == 0; }
 
 inline Program random_program_shaped(std::uint64_t seed,
                                      std::uint64_t max_fanout,
@@ -179,7 +194,13 @@ inline void add_rules(Engine& eng, Table<Tok>& toks, const Program& p,
                       std::function<void(RuleCtx&, const Tok&)> put) {
   for (int r = 0; r < p.rules; ++r) {
     eng.rule(toks, r == 0 ? "derive" : "derive" + std::to_string(r + 1),
-             [&p, put](RuleCtx& ctx, const Tok& t) {
+             [&p, put, r](RuleCtx& ctx, const Tok& t) {
+               if (r == 0 && p.rule_cost.count() > 0) {
+                 using Clock = std::chrono::steady_clock;
+                 const Clock::time_point end = Clock::now() + p.rule_cost;
+                 while (Clock::now() < end) {
+                 }
+               }
                if (t.gen + 1 > p.max_gen) return;
                for (const std::int64_t k2 :
                     p.adj[static_cast<std::size_t>(t.key)]) {
@@ -195,11 +216,13 @@ inline void add_rules(Engine& eng, Table<Tok>& toks, const Program& p,
 /// increases, so local puts respect the law of causality).  The observed
 /// set is collected through the table's effect — not a Gamma scan — so it
 /// works identically for -noGamma (NullStore) configurations, where the
-/// effect fires for every delivery and the set dedups.
+/// effect fires for every delivery and the set dedups.  `report`
+/// (optional) receives the run's report.
 inline std::set<Tok> single_engine_fixpoint(const Program& p,
                                             const EngineOptions& opts,
                                             StoreKind store =
-                                                StoreKind::Default) {
+                                                StoreKind::Default,
+                                            RunReport* report = nullptr) {
   std::set<Tok> observed;
   std::mutex mu;
   Engine eng(opts);
@@ -212,8 +235,19 @@ inline std::set<Tok> single_engine_fixpoint(const Program& p,
     toks.put(ctx, t);
   });
   for (const Tok& s : p.seeds) eng.put(toks, s);
-  eng.run();
+  const RunReport r = eng.run();
+  if (report != nullptr) *report = r;
   return observed;
+}
+
+/// A parallel run of an expensive-rule program shares a fire phase with
+/// the pool whenever some batch held more than one tuple.
+inline void expect_phases_split(const Program& p, const RunReport& r,
+                                const std::string& where) {
+  if (r.max_batch < 2) return;
+  EXPECT_LT(r.inline_batches, r.batches)
+      << "no fire phase split with " << p.rule_cost.count()
+      << " us rule bodies, " << where;
 }
 
 /// The default reference: one sequential Engine.

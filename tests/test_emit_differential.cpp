@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "core/simd.h"
 #include "differential.h"
@@ -56,13 +57,15 @@ TEST(EmitDifferential, SequentialBufferedMatchesDirectEveryStore) {
 }
 
 // The headline acceptance gate: buffered results are bit-identical at any
-// worker count, including the striped-Delta backend whose bulk-append and
-// pop_min head cache this PR introduced.
+// worker count, including the striped-Delta backend's bulk appends.
+// Expensive-rule seeds put the fire phases on the pool, so buffers of
+// several threads reach each flush.
 TEST(EmitDifferential, BufferedBitIdenticalAcrossWorkerCounts) {
   const std::uint64_t n = seed_count();
   const std::uint64_t base = seed_base();
   for (std::uint64_t seed = base; seed < base + n; ++seed) {
-    const Program p = random_program(seed);
+    Program p = random_program(seed);
+    if (expensive_seed(seed)) p = with_expensive_rules(p);
     const std::set<Tok> want = oracle_fixpoint(p);
     for (const int threads : {1, 2, 4, 8}) {
       EngineOptions opts;
@@ -70,28 +73,38 @@ TEST(EmitDifferential, BufferedBitIdenticalAcrossWorkerCounts) {
       opts.threads = threads;
       opts.emit_buffer = true;
       if (threads == 4) opts.delta_stripes = 8;  // striped bulk appends
-      EXPECT_EQ(single_engine_fixpoint(p, opts), want)
-          << threads << " workers, "
-          << repro(seed, kExe, "EmitDifferential.*WorkerCounts");
+      RunReport r;
+      const std::string where =
+          std::to_string(threads) + " workers, " +
+          repro(seed, kExe, "EmitDifferential.*WorkerCounts");
+      EXPECT_EQ(single_engine_fixpoint(p, opts, StoreKind::Default, &r), want)
+          << where;
+      if (expensive_seed(seed)) expect_phases_split(p, r, where);
     }
   }
 }
 
-// task_per_rule spawns one task per (tuple, rule); its puts ride the same
-// thread-local buffers and must flush to the same fixpoint.
+// task_per_rule fires one item per (tuple, rule); its puts ride the same
+// thread-local buffers and must flush to the same fixpoint, also when the
+// items are shared with the pool.
 TEST(EmitDifferential, BufferedTaskPerRule) {
   const std::uint64_t n = seed_count();
   const std::uint64_t base = seed_base();
   for (std::uint64_t seed = base; seed < base + n; ++seed) {
-    const Program p = random_small_program(seed);  // rules = 2
+    Program p = random_small_program(seed);  // rules = 2
+    if (expensive_seed(seed)) p = with_expensive_rules(p);
     const std::set<Tok> want = oracle_fixpoint(p);
     EngineOptions opts;
     opts.sequential = false;
     opts.threads = 4;
     opts.task_per_rule = true;
     opts.emit_buffer = true;
-    EXPECT_EQ(single_engine_fixpoint(p, opts), want)
-        << repro(seed, kExe, "EmitDifferential.BufferedTaskPerRule");
+    RunReport r;
+    const std::string where =
+        repro(seed, kExe, "EmitDifferential.BufferedTaskPerRule");
+    EXPECT_EQ(single_engine_fixpoint(p, opts, StoreKind::Default, &r), want)
+        << where;
+    if (expensive_seed(seed)) expect_phases_split(p, r, where);
   }
 }
 

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "core/engine.h"
@@ -256,6 +258,103 @@ TEST(TaskPerRule, ConcurrentPutsFromSiblingRulesDedup) {
   eng.run();
   EXPECT_EQ(dst_fires.load(), 7);
   EXPECT_EQ(dst.gamma_size(), 7u);
+}
+
+// --- lazy-split batch phases (core/table.h lazy_split) ---------------------
+
+void busy_wait(std::chrono::microseconds d) {
+  const auto end = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < end) {
+  }
+}
+
+struct Item {
+  std::int64_t id;
+  auto operator<=>(const Item&) const = default;
+};
+struct Out {
+  std::int64_t v;
+  auto operator<=>(const Out&) const = default;
+};
+
+/// One batch of `n` Items (a literal-only orderby), each firing `rules`
+/// rules that busy-wait `cost` and derive Out{id % 13}; a rule throws at
+/// item `throw_at` (-1: never).  Returns the Out database; `item_inline`
+/// receives the Item table's inline fire phases.
+std::vector<Out> run_items(const EngineOptions& opts, int n, int rules,
+                           std::chrono::microseconds cost,
+                           std::int64_t* item_inline = nullptr,
+                           std::int64_t throw_at = -1) {
+  Engine eng(opts);
+  auto& item = eng.table(TableDecl<Item>("Item").orderby_lit("T").hash(
+      [](const Item& i) { return hash_fields(i.id); }));
+  auto& out = eng.table(TableDecl<Out>("Out").orderby_lit("U").hash(
+      [](const Out& o) { return hash_fields(o.v); }));
+  eng.order({"T", "U"});
+  for (int r = 0; r < rules; ++r) {
+    eng.rule(item, "r" + std::to_string(r),
+             [&out, cost, throw_at](RuleCtx& ctx, const Item& i) {
+               busy_wait(cost);
+               if (i.id == throw_at) throw std::runtime_error("rule threw");
+               out.put(ctx, Out{i.id % 13});
+             });
+  }
+  for (int i = 0; i < n; ++i) eng.put(item, Item{i});
+  eng.run();
+  if (item_inline != nullptr) *item_inline = item.stats().inline_batches.load();
+  std::vector<Out> db;
+  out.scan([&db](const Out& o) { db.push_back(o); });
+  std::sort(db.begin(), db.end());
+  return db;
+}
+
+// A 64-tuple batch of ~50 µs rule bodies outlasts the split budget within
+// a few tuples, so its fire phase is shared with the pool (and not counted
+// inline) under both firing granularities, and lands on the sequential
+// fixpoint.
+TEST(LazySplit, ExpensiveBatchSplitsAndMatchesSequential) {
+  using std::chrono::microseconds;
+  EngineOptions seq;
+  seq.sequential = true;
+  const std::vector<Out> want = run_items(seq, 64, 1, microseconds(50));
+  ASSERT_EQ(want.size(), 13u);
+  for (const bool per_rule : {false, true}) {
+    EngineOptions par;
+    par.threads = 4;
+    par.task_per_rule = per_rule;
+    std::int64_t item_inline = -1;
+    const int rules = per_rule ? 2 : 1;
+    EXPECT_EQ(run_items(par, 64, rules, microseconds(50 / rules), &item_inline),
+              want)
+        << "task_per_rule=" << per_rule;
+    EXPECT_EQ(item_inline, 0) << "task_per_rule=" << per_rule;
+  }
+}
+
+// A 4-tuple batch of cheap rules ends long before the budget and stays on
+// the coordinator.  The split is decided by the clock, so a coordinator
+// descheduled mid-phase may legitimately split; one inline run out of a
+// few attempts is the contract.
+TEST(LazySplit, CheapSmallBatchStaysInline) {
+  EngineOptions par;
+  par.threads = 4;
+  bool stayed_inline = false;
+  for (int attempt = 0; attempt < 5 && !stayed_inline; ++attempt) {
+    std::int64_t item_inline = -1;
+    run_items(par, 4, 1, std::chrono::microseconds(0), &item_inline);
+    stayed_inline = item_inline == 1;
+  }
+  EXPECT_TRUE(stayed_inline);
+}
+
+// A rule that throws after its phase split (tuple 40 of 64; the phase is
+// past the budget by tuple 5) surfaces from run() on the coordinator.
+TEST(LazySplit, ExceptionAfterSplitSurfacesFromRun) {
+  EngineOptions par;
+  par.threads = 4;
+  EXPECT_THROW(run_items(par, 64, 1, std::chrono::microseconds(50), nullptr,
+                         /*throw_at=*/40),
+               std::runtime_error);
 }
 
 // Repeat the parallel run several times: scheduling nondeterminism must

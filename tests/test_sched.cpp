@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "sched/fork_join_pool.h"
@@ -219,6 +222,127 @@ TEST(ForkJoinPool, ManySmallBatches) {
     pool.invoke_all(std::move(tasks));
   }
   EXPECT_EQ(total.load(), 800);
+}
+
+// for_each_index is a participating loop: the caller claims chunks
+// itself.  With the pool's only worker held by a task that waits for an
+// index only the calling thread can run, the loop must still finish; a
+// loop that only dispatched would sit out the holder's 5 s timeout.
+TEST(ForkJoinPool, ForEachIndexCallerRunsChunksWhileWorkersAreBusy) {
+  using Clock = std::chrono::steady_clock;
+  ForkJoinPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> held{false};
+  std::atomic<bool> caller_ran{false};
+  pool.submit([&] {
+    held.store(true);
+    const Clock::time_point deadline = Clock::now() + std::chrono::seconds(5);
+    while (!caller_ran.load() && Clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
+  while (!held.load()) std::this_thread::yield();
+  std::atomic<int> on_caller{0};
+  const Clock::time_point start = Clock::now();
+  pool.for_each_index(64, [&](std::int64_t) {
+    if (std::this_thread::get_id() == caller) {
+      on_caller.fetch_add(1);
+      caller_ran.store(true);
+    }
+  });
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(1));
+  EXPECT_GT(on_caller.load(), 0);
+  pool.wait_idle();
+}
+
+// The first exception reaches the caller whichever participant threw it,
+// and the pool runs the next loop normally afterwards.
+TEST(ForkJoinPool, ForEachIndexExceptionFromCallerOrHelperReachesCaller) {
+  using Clock = std::chrono::steady_clock;
+  ForkJoinPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  const auto next_loop_sums = [&pool] {
+    std::atomic<std::int64_t> sum{0};
+    pool.for_each_index(1000, [&](std::int64_t i) { sum.fetch_add(i); });
+    return sum.load() == 1000LL * 999 / 2;
+  };
+
+  // A chunk the caller ran: both workers are held (for at most 5 s), so
+  // every chunk runs on the calling thread.
+  std::atomic<bool> release{false};
+  std::atomic<int> holding{0};
+  for (int w = 0; w < 2; ++w) {
+    pool.submit([&] {
+      holding.fetch_add(1);
+      const Clock::time_point deadline =
+          Clock::now() + std::chrono::seconds(5);
+      while (!release.load() && Clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    });
+  }
+  while (holding.load() < 2) std::this_thread::yield();
+  try {
+    pool.for_each_index(
+        64,
+        [&](std::int64_t i) {
+          if (i == 5 && std::this_thread::get_id() == caller) {
+            throw std::runtime_error("caller");
+          }
+        },
+        /*grain=*/1);
+    ADD_FAILURE() << "the caller's exception was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "caller");
+  }
+  release.store(true);
+  pool.wait_idle();
+  EXPECT_TRUE(next_loop_sums());
+
+  // A chunk a helper ran: the caller's first index waits until a helper
+  // has claimed a chunk, and only helpers throw.
+  std::atomic<bool> helper_threw{false};
+  try {
+    pool.for_each_index(
+        64,
+        [&](std::int64_t) {
+          if (std::this_thread::get_id() != caller) {
+            helper_threw.store(true);
+            throw std::runtime_error("helper");
+          }
+          const Clock::time_point deadline =
+              Clock::now() + std::chrono::seconds(5);
+          while (!helper_threw.load() && Clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+        },
+        /*grain=*/1);
+    ADD_FAILURE() << "the helper's exception was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "helper");
+  }
+  EXPECT_TRUE(next_loop_sums());
+}
+
+// Back-to-back tiny loops over stack locals: a helper that starts after
+// its loop returned must touch neither fn nor the caller's frame, which
+// the next iteration reuses (the ASan and TSan jobs run this too).
+TEST(ForkJoinPool, BackToBackTinyLoopsLeaveCallerFrameAlone) {
+  ForkJoinPool pool(4);
+  for (int round = 0; round < 10000; ++round) {
+    const int n = 2 + round % 7;
+    std::int64_t slots[8] = {};
+    std::atomic<int> calls{0};
+    pool.for_each_index(
+        n,
+        [&](std::int64_t i) {
+          slots[i] = round;
+          calls.fetch_add(1);
+        },
+        /*grain=*/1);
+    ASSERT_EQ(calls.load(), n) << "round " << round;
+    for (int i = 0; i < n; ++i) ASSERT_EQ(slots[i], round) << "round " << round;
+  }
 }
 
 class PoolSizes : public ::testing::TestWithParam<int> {};
