@@ -4,22 +4,24 @@
 // scalability wall ("several million Estimate tuples through the Delta
 // tree").  Two workloads, two acceptance bars:
 //
-//  * wide: a few wide strata (every tuple of a level shares one
-//    causality class), each tuple deriving two next-level tuples that
-//    collide heavily — the emit-heavy shape where the direct path pays a
-//    Delta lookup + node lock + dedup probe per put while the buffered
-//    path stages records thread-locally and bulk-appends once per fire
-//    phase.  Bar (`fire_guard.wide`): buffered >= 1.3x direct at the
-//    enforcement scale (>= 1e6 derived tuples).  Also reports buffered
-//    wall time at 1/2/4/8 workers and each count's speedup over 1 worker
-//    (recorded, not enforced).
+//  * wide: a few wide strata spread over 256 causality classes, each
+//    fired tuple deriving eight next-level tuples that collide heavily —
+//    the emit-heavy shape, where rules on the pool stage their puts in
+//    per-worker buffers and the coordinator replays them into the Delta
+//    tree once per fire phase.  Bar (`fire_guard.wide`): the 4-worker
+//    parallel engine takes at most 2.5x the sequential engine's time at
+//    the enforcement scale (>= 1e6 derived tuples).  Per-put enqueue
+//    from the pool into a concurrent tree, which the buffers replaced,
+//    ran 2.35x slower than buffered emission here, which would land near
+//    4x.  Also reports wall time at 1/2/4/8 workers and each count's
+//    speedup over 1 worker (recorded, not enforced).
 //
 //  * deep: a long chain of tiny batches (4 tuples per causality level) —
 //    the dijkstra-like shape where a phase that dispatched to the pool
 //    would pay a round trip (task enqueue + worker wake + join) per hop.
 //    Bar (`fire_guard.deep`): the 2-worker parallel engine runs the chain
 //    within 2.0x of the sequential engine.  Lazy splitting keeps these
-//    phases on the coordinator (~1.7x, the concurrent substrate's cost);
+//    phases on the coordinator (~1.8x, the concurrent Gamma's cost);
 //    dispatching every hop measured 13x the inline path, so the bar
 //    catches any return of per-hop dispatch.
 //
@@ -39,8 +41,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.h"
@@ -66,12 +70,11 @@ constexpr std::int64_t kWideFanout = 8;    // puts per fired tuple
 /// One fixpoint of the wide workload: W tuples per level spread over 256
 /// causality classes (orderby seq g), each fired tuple deriving 8
 /// colliding tuples into one next-level class.  With hundreds of keys in
-/// flight the Delta tree probe is a real ordered-structure descent, so
-/// the direct path pays (probe + node lock + dedup check) per put while
-/// the buffered path groups the ~8x duplicate emission thread-locally
-/// and resolves each touched key once per flush — the §6.5 "millions of
-/// tuples through the Delta tree" shape.  Returns the run report so
-/// callers can sanity-check the emit counters.
+/// flight the Delta tree probe is a real ordered-structure descent; the
+/// flush probes it once per run of equal keys and dedups the ~8x
+/// duplicate emission in the batch slices — the §6.5 "millions of tuples
+/// through the Delta tree" shape.  Returns the run report so callers can
+/// sanity-check the emit counters.
 RunReport run_wide(std::int64_t width, const EngineOptions& opts,
                    std::size_t* gamma_out = nullptr) {
   Engine eng(opts);
@@ -124,6 +127,26 @@ std::size_t run_deep(std::int64_t levels, const EngineOptions& opts) {
   return tok.gamma_size();
 }
 
+/// Minimum wall times of `a` and `b` over `rounds` alternating runs: a
+/// run lasting tens of milliseconds moves by tens of percent when a
+/// thread is descheduled or a neighbour on a shared host gets busy, so
+/// the two sides interleave and each keeps its best sample.
+std::pair<double, double> alternate_min(const std::function<void()>& a,
+                                        const std::function<void()>& b,
+                                        int rounds) {
+  double a_s = 1e100;
+  double b_s = 1e100;
+  for (int r = 0; r < rounds; ++r) {
+    WallTimer ta;
+    a();
+    a_s = std::min(a_s, ta.seconds());
+    WallTimer tb;
+    b();
+    b_s = std::min(b_s, tb.seconds());
+  }
+  return {a_s, b_s};
+}
+
 // --- the pool round trip behind the split budget --------------------------
 
 /// Median microseconds of one for_each_index round trip in which a helper
@@ -165,50 +188,46 @@ int main(int argc, char** argv) {
       kWideGroups;
   const std::int64_t total = width * kWideLevels;
 
-  constexpr double kWideBar = 1.3;
+  constexpr double kWideBar = 2.5;  // max parallel / sequential time
   constexpr double kDeepBar = 2.0;  // max parallel / sequential time
   constexpr std::int64_t kBarRows = 1000000;
   const bool enforced = rows >= kBarRows;
 
-  // --- wide: buffered vs direct emission ------------------------------------
+  // --- wide: 4-worker parallel engine vs sequential engine ------------------
   print_header("wide emit-heavy firing at " + std::to_string(total) +
                " tuples (" + std::to_string(kWideLevels) + " strata x " +
                std::to_string(width) + ", " + std::to_string(kWideGroups) +
                " causality classes each, fanout " +
                std::to_string(kWideFanout) + ")");
+  EngineOptions wide_seq;
+  wide_seq.sequential = true;
   EngineOptions wide_opts;
   wide_opts.sequential = false;
   wide_opts.threads = 4;
 
-  // Correctness pin before timing: both paths must land on the same
-  // database, and the buffered run must actually route puts through
-  // buffers (unless JSTAR_EMIT=off is forcing the direct path).
-  std::size_t gamma_direct = 0, gamma_buffered = 0;
-  EngineOptions direct_opts = wide_opts;
-  direct_opts.emit_buffer = false;
-  (void)run_wide(width, direct_opts, &gamma_direct);
-  const RunReport pin = run_wide(width, wide_opts, &gamma_buffered);
-  if (gamma_direct != gamma_buffered) {
-    std::fprintf(stderr, "MISMATCH: buffered gamma %zu != direct %zu\n",
-                 gamma_buffered, gamma_direct);
+  // Correctness pin before timing: both engines must land on the same
+  // database.
+  std::size_t gamma_seq = 0, gamma_par = 0;
+  (void)run_wide(width, wide_seq, &gamma_seq);
+  const RunReport pin = run_wide(width, wide_opts, &gamma_par);
+  if (gamma_seq != gamma_par) {
+    std::fprintf(stderr, "MISMATCH: parallel gamma %zu != sequential %zu\n",
+                 gamma_par, gamma_seq);
     return 1;
   }
-  const bool emit_active = pin.emit_buffered > 0;
-  std::printf("fixpoint: %zu tuples, %lld buffered puts, %lld flushes%s\n",
-              gamma_buffered, static_cast<long long>(pin.emit_buffered),
-              static_cast<long long>(pin.emit_flushes),
-              emit_active ? "" : "  (emit buffering disabled by env)");
+  std::printf("fixpoint: %zu tuples, %lld buffered puts, %lld flushes\n",
+              gamma_par, static_cast<long long>(pin.emit_buffered),
+              static_cast<long long>(pin.emit_flushes));
 
-  const Timing t_direct =
-      measure([&] { (void)run_wide(width, direct_opts); }, reps);
-  const Timing t_buffered =
-      measure([&] { (void)run_wide(width, wide_opts); }, reps);
-  const double wide_speedup = t_direct.min / t_buffered.min;
-  print_row("direct per-put enqueue (emit_buffer off)", t_direct.min);
-  print_row("buffered bulk append (emit_buffer on)", t_buffered.min,
-            wide_speedup);
+  const auto [wide_seq_s, wide_par_s] =
+      alternate_min([&] { (void)run_wide(width, wide_seq); },
+                    [&] { (void)run_wide(width, wide_opts); }, 5 * reps);
+  const double wide_ratio = wide_par_s / wide_seq_s;
+  print_row("sequential engine", wide_seq_s);
+  print_row("parallel engine, 4 workers", wide_par_s,
+            wide_seq_s / wide_par_s);
 
-  // Buffered wall time across worker counts, as speedup over 1 worker.
+  // Wall time across worker counts, as speedup over 1 worker.
   json::Array scaling;
   double one_worker = 0;
   for (const int workers : {1, 2, 4, 8}) {
@@ -216,8 +235,8 @@ int main(int argc, char** argv) {
     o.threads = workers;
     const Timing t = measure([&] { (void)run_wide(width, o); }, reps);
     if (workers == 1) one_worker = t.min;
-    print_row("buffered, " + std::to_string(workers) + " workers", t.min,
-              one_worker / t.min);
+    print_row("parallel engine, " + std::to_string(workers) + " workers",
+              t.min, one_worker / t.min);
     scaling.push_back(json::Object{
         {"workers", workers},
         {"seconds", t.min},
@@ -242,20 +261,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "MISMATCH: deep chain fixpoints diverge\n");
     return 1;
   }
-  // A deep run lasts tens of milliseconds, where a descheduled thread or
-  // a busy neighbour on a shared host moves one sample by tens of
-  // percent: the two engines alternate over five times the reps, and
-  // the ratio is taken between their minimums.
-  double seq_s = 1e100;
-  double par_s = 1e100;
-  for (int r = 0; r < 5 * reps; ++r) {
-    WallTimer ts;
-    (void)run_deep(levels, deep_seq);
-    seq_s = std::min(seq_s, ts.seconds());
-    WallTimer tp;
-    (void)run_deep(levels, deep_par);
-    par_s = std::min(par_s, tp.seconds());
-  }
+  const auto [seq_s, par_s] =
+      alternate_min([&] { (void)run_deep(levels, deep_seq); },
+                    [&] { (void)run_deep(levels, deep_par); }, 5 * reps);
   const double deep_ratio = par_s / seq_s;
   print_row("sequential engine", seq_s);
   print_row("parallel engine, 2 workers", par_s, seq_s / par_s);
@@ -273,10 +281,10 @@ int main(int argc, char** argv) {
 
   // --- headline + JSON ------------------------------------------------------
   std::printf(
-      "\nheadline: buffered emission %.2fx over direct per-put enqueue on "
+      "\nheadline: 4-worker parallel engine at %.2fx the sequential time on "
       "the wide workload (bar: %.1fx); 2-worker parallel engine at %.2fx "
       "the sequential time on the deep chain (bar: %.1fx) — %s\n",
-      wide_speedup, kWideBar, deep_ratio, kDeepBar,
+      wide_ratio, kWideBar, deep_ratio, kDeepBar,
       enforced ? "enforced" : "recorded only at this scale");
 
   const json::Value doc = json::Object{
@@ -285,10 +293,10 @@ int main(int argc, char** argv) {
       {"reps", reps},
       {"fire_guard",
        json::Object{
-           {"wide_speedup_buffered_vs_direct", wide_speedup},
+           {"wide_parallel_vs_sequential", wide_ratio},
            {"wide_bar", kWideBar},
-           {"wide_direct_seconds", t_direct.min},
-           {"wide_buffered_seconds", t_buffered.min},
+           {"wide_sequential_seconds", wide_seq_s},
+           {"wide_parallel_seconds", wide_par_s},
            {"wide_emit_buffered", pin.emit_buffered},
            {"wide_emit_flushes", pin.emit_flushes},
            {"deep_parallel_vs_sequential", deep_ratio},
@@ -296,8 +304,8 @@ int main(int argc, char** argv) {
            {"deep_sequential_seconds", seq_s},
            {"deep_parallel_seconds", par_s},
            {"deep_levels", levels},
-           {"enforced", enforced && emit_active},
-           {"skipped", !(enforced && emit_active)},
+           {"enforced", enforced},
+           {"skipped", !enforced},
        }},
       {"scaling", std::move(scaling)},
       {"split_budget",
@@ -318,11 +326,11 @@ int main(int argc, char** argv) {
     std::printf("could not write BENCH_rule_fire.json\n");
   }
 
-  if (enforced && emit_active && wide_speedup < kWideBar) {
+  if (enforced && wide_ratio > kWideBar) {
     std::fprintf(stderr,
-                 "FAIL: buffered emission speedup %.2fx is below the %.1fx "
-                 "acceptance bar\n",
-                 wide_speedup, kWideBar);
+                 "FAIL: the 4-worker parallel engine takes %.2fx the "
+                 "sequential time on the wide workload, above the %.1fx bar\n",
+                 wide_ratio, kWideBar);
     return 1;
   }
   if (enforced && deep_ratio > kDeepBar) {

@@ -1,6 +1,8 @@
 // A concurrent ordered map: the C++ stand-in for Java's
 // ConcurrentSkipListMap, which the JStar runtime uses for the parallel
 // Delta tree and as the default parallel Gamma table structure (§5).
+// Here it backs the parallel Gamma default (SkipListSet); the Delta tree
+// is a plain ordered map owned by the engine's driving thread.
 //
 // The algorithm is the lazy lock-based skip list of Herlihy & Shavit
 // ("The Art of Multiprocessor Programming", ch. 14):
@@ -10,10 +12,8 @@
 //
 // Memory reclamation: Java relies on GC; here erased nodes are *retired* to
 // a list and physically freed only by collect_garbage() / the destructor.
-// The JStar engine calls collect_garbage() only between Delta batches, when
-// it has exclusive access, so readers never touch freed memory.  pop_min()
-// is likewise documented exclusive-phase-only (the engine's coordinator is
-// the single caller, between parallel batches).
+// collect_garbage() must run with exclusive access, so readers never touch
+// freed memory; pop_min() is likewise exclusive-phase-only.
 #pragma once
 
 #include <atomic>

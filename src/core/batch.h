@@ -5,7 +5,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 namespace jstar {
@@ -18,21 +17,12 @@ class BatchVecBase {
   virtual std::size_t count() const = 0;
 };
 
-/// One Delta-tree leaf.  Insertions lock `mu` (many rule tasks may put
-/// tuples with the same future timestamp concurrently); the engine
-/// coordinator consumes nodes exclusively after pop_min.
+/// One Delta-tree leaf.  Like the tree itself it belongs to the thread
+/// that drives the engine: that thread fills it (initial puts, emit
+/// flushes) and consumes it after pop_min, so it needs no lock.
 struct BatchNode {
-  std::mutex mu;
-  /// Indexed by table id; slots are created lazily under `mu`.
+  /// Indexed by table id; slots are created lazily.
   std::vector<std::unique_ptr<BatchVecBase>> per_table;
-
-  std::size_t total_tuples() const {
-    std::size_t n = 0;
-    for (const auto& s : per_table) {
-      if (s) n += s->count();
-    }
-    return n;
-  }
 };
 
 }  // namespace jstar

@@ -1,11 +1,12 @@
 // The Delta set (§3, §5): a multi-level priority queue over pending tuples,
 // ordered by the causality ordering, with set-semantics deduplication.
 //
-// Two backends mirror the paper's generated code:
-//   * MapDeltaTree  — java.util.TreeMap analogue, for -sequential code;
-//   * SkipDeltaTree — ConcurrentSkipListMap analogue, for parallel code
-//     (workers insert concurrently while a batch executes; the coordinator
-//     pops the minimum between batches, which is an exclusive phase).
+// One ordered map — the java.util.TreeMap analogue of the paper's
+// -sequential code — serves every strategy.  Only the thread that drives
+// Engine::run()/step() touches it: initial puts, sharded mail and stream
+// deliveries run on that thread, and rule puts reach the tree through the
+// emit buffers that thread flushes after each fire-phase join
+// (core/table.h).  So the tree takes no lock.
 //
 // Footnote 5 of the paper explains why this is a map and not a plain
 // priority queue: duplicate tuples must be removed as they are inserted.
@@ -15,7 +16,6 @@
 #include <map>
 #include <memory>
 
-#include "concurrent/skip_list_map.h"
 #include "core/batch.h"
 #include "core/key.h"
 
@@ -23,50 +23,15 @@ namespace jstar {
 
 class DeltaTree {
  public:
-  virtual ~DeltaTree() = default;
-
   /// Returns the batch node for `key`, creating it if absent.
-  /// Thread-safety depends on the backend (see class comment).
-  virtual BatchNode& get_or_insert(const DeltaKey& key) = 0;
-
-  /// Callback shape for get_or_insert_batch: invoked once per input key
-  /// with its index and resolved node.  A raw pointer + context instead of
-  /// std::function keeps the per-group dispatch allocation-free on the
-  /// emit-flush hot path.
-  using BatchVisitor = void (*)(void* ctx, std::size_t i, BatchNode& node);
-
-  /// Bulk get_or_insert: resolves keys[0..n) and calls visit(ctx, i, node)
-  /// for each.  Keys need not be distinct or sorted; equal keys resolve to
-  /// the same node.  Same thread-safety as get_or_insert.  The default
-  /// loops; backends override to amortize locking (the striped tree takes
-  /// each stripe lock once per call instead of once per key).
-  virtual void get_or_insert_batch(const DeltaKey* keys, std::size_t n,
-                                   BatchVisitor visit, void* ctx) {
-    for (std::size_t i = 0; i < n; ++i) visit(ctx, i, get_or_insert(keys[i]));
+  BatchNode& get_or_insert(const DeltaKey& key) {
+    std::unique_ptr<BatchNode>& node = map_[key];
+    if (!node) node = std::make_unique<BatchNode>();
+    return *node;
   }
 
-  /// EXCLUSIVE PHASE.  Removes the minimal batch; returns false when empty.
-  virtual bool pop_min(DeltaKey& key_out, std::unique_ptr<BatchNode>& node_out) = 0;
-
-  virtual bool empty() const = 0;
-  virtual std::size_t batch_count() const = 0;
-
-  /// EXCLUSIVE PHASE.  Reclaims memory retired by concurrent operations.
-  virtual void collect_garbage() {}
-};
-
-/// Sequential backend (TreeMap analogue).  Not thread-safe.
-class MapDeltaTree final : public DeltaTree {
- public:
-  BatchNode& get_or_insert(const DeltaKey& key) override {
-    auto it = map_.find(key);
-    if (it == map_.end()) {
-      it = map_.emplace(key, std::make_unique<BatchNode>()).first;
-    }
-    return *it->second;
-  }
-
-  bool pop_min(DeltaKey& key_out, std::unique_ptr<BatchNode>& node_out) override {
+  /// Removes the minimal batch; returns false when empty.
+  bool pop_min(DeltaKey& key_out, std::unique_ptr<BatchNode>& node_out) {
     if (map_.empty()) return false;
     auto it = map_.begin();
     key_out = it->first;
@@ -75,64 +40,15 @@ class MapDeltaTree final : public DeltaTree {
     return true;
   }
 
-  bool empty() const override { return map_.empty(); }
-  std::size_t batch_count() const override { return map_.size(); }
+  bool empty() const { return map_.empty(); }
+  std::size_t batch_count() const { return map_.size(); }
 
-  /// Devirtualized loop: one red-black descent per key, no virtual call
-  /// per key.
-  void get_or_insert_batch(const DeltaKey* keys, std::size_t n,
-                           BatchVisitor visit, void* ctx) override {
-    for (std::size_t i = 0; i < n; ++i) {
-      auto it = map_.find(keys[i]);
-      if (it == map_.end()) {
-        it = map_.emplace(keys[i], std::make_unique<BatchNode>()).first;
-      }
-      visit(ctx, i, *it->second);
-    }
-  }
+  /// A no-op (nothing is retired for deferred reclamation), kept because
+  /// the end-to-end benchmark (e2ebench/) still calls it.
+  void collect_garbage() {}
 
  private:
   std::map<DeltaKey, std::unique_ptr<BatchNode>, DeltaKeyLess> map_;
-};
-
-/// Concurrent backend (ConcurrentSkipListMap analogue).  get_or_insert is
-/// safe from any number of rule tasks; pop_min/collect_garbage are
-/// coordinator-only, between batches.
-class SkipDeltaTree final : public DeltaTree {
- public:
-  ~SkipDeltaTree() override {
-    map_.for_each([](const DeltaKey&, BatchNode* const& node) { delete node; });
-  }
-
-  BatchNode& get_or_insert(const DeltaKey& key) override {
-    // The factory runs exactly once per successfully inserted node (after
-    // predecessor validation), so there is no allocate-and-discard race.
-    return *map_.get_or_insert(key, [] { return new BatchNode(); });
-  }
-
-  bool pop_min(DeltaKey& key_out, std::unique_ptr<BatchNode>& node_out) override {
-    BatchNode* node = nullptr;
-    if (!map_.pop_min(key_out, node)) return false;
-    node_out.reset(node);
-    return true;
-  }
-
-  bool empty() const override { return map_.empty(); }
-  std::size_t batch_count() const override { return map_.size(); }
-  void collect_garbage() override { map_.collect_garbage(); }
-
-  /// Devirtualized loop over the skip list (concurrent-safe like
-  /// get_or_insert; towers for equal keys merge).
-  void get_or_insert_batch(const DeltaKey* keys, std::size_t n,
-                           BatchVisitor visit, void* ctx) override {
-    for (std::size_t i = 0; i < n; ++i) {
-      visit(ctx, i,
-            *map_.get_or_insert(keys[i], [] { return new BatchNode(); }));
-    }
-  }
-
- private:
-  concurrent::SkipListMap<DeltaKey, BatchNode*, DeltaKeyLess> map_;
 };
 
 }  // namespace jstar

@@ -43,21 +43,12 @@ Engine::~Engine() = default;
 void Engine::prepare() {
   if (prepared_) return;
   prepared_ = true;
-  if (opts_.sequential) {
-    delta_ = std::make_unique<MapDeltaTree>();
-  } else {
-    if (opts_.delta_stripes >= 1) {
-      delta_ = std::make_unique<StripedDeltaTree>(opts_.delta_stripes);
-    } else {
-      delta_ = std::make_unique<SkipDeltaTree>();
-    }
-    if (external_pool_ == nullptr) {
-      pool_ = std::make_unique<sched::ForkJoinPool>(opts_.threads);
-    }
+  if (!opts_.sequential && external_pool_ == nullptr) {
+    pool_ = std::make_unique<sched::ForkJoinPool>(opts_.threads);
   }
   edges_.resize(tables_.size());
   TableBase::RuntimeEnv env;
-  env.delta = delta_.get();
+  env.delta = &delta_;
   env.pool = pool();
   env.edges = &edges_;
   env.orders = &orders_;
@@ -67,7 +58,6 @@ void Engine::prepare() {
   env.epoch = &epoch_;
   env.simd = opts_.simd;
   env.morsels = opts_.morsels;
-  env.emit_buffer = opts_.emit_buffer;
   // configure() registers each table's orderby literals, so it must run
   // before the order relation is frozen into ranks.
   for (auto& t : tables_) {
@@ -117,7 +107,7 @@ bool Engine::step(RunReport* report) {
   flush_emits();
   DeltaKey key;
   std::unique_ptr<BatchNode> node;
-  if (!delta_->pop_min(key, node)) return false;
+  if (!delta_.pop_min(key, node)) return false;
   const EmitCounters before = emit_counters(tables_);
   RunReport scratch;
   RunReport& out = report != nullptr ? *report : scratch;
@@ -146,14 +136,9 @@ RunReport Engine::run() {
   const EmitCounters before = emit_counters(tables_);
   DeltaKey key;
   std::unique_ptr<BatchNode> node;
-  int since_gc = 0;
-  while (delta_->pop_min(key, node)) {
+  while (delta_.pop_min(key, node)) {
     process_batch(key, *node, report);
     node.reset();
-    if (!opts_.sequential && ++since_gc >= opts_.gc_interval_batches) {
-      delta_->collect_garbage();
-      since_gc = 0;
-    }
   }
   const EmitCounters after = emit_counters(tables_);
   report.emit_flushes = after.flushes - before.flushes;

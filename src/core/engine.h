@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "core/delta_tree.h"
-#include "core/striped_delta_tree.h"
 #include "core/orderby.h"
 #include "core/table.h"
 #include "sched/fork_join_pool.h"
@@ -37,8 +36,8 @@
 namespace jstar {
 
 struct EngineOptions {
-  /// Generate-sequential-code analogue: std::map Delta, TreeSet Gammas,
-  /// no thread pool.
+  /// Generate-sequential-code analogue: TreeSet Gammas, no thread pool.
+  /// (Every strategy shares the one ordered-map Delta tree.)
   bool sequential = false;
   /// Fork/join pool size for parallel mode (--threads=N).
   int threads = 4;
@@ -49,18 +48,14 @@ struct EngineOptions {
   std::set<std::string> no_delta;
   /// -noGamma T: tuples of these tables are never stored (§5.1).
   std::set<std::string> no_gamma;
-  /// Reclaim Delta-tree garbage every N batches (parallel mode only).
+  /// Unused by the engine (the Delta tree retires nothing); kept because
+  /// the end-to-end benchmark (e2ebench/) still reads it.
   int gc_interval_batches = 64;
   /// §5.2 "additional parallelism": spawn one fork/join task per
   /// (tuple, rule) pair instead of one task per tuple.  The paper's
   /// default strategy creates "only one task for that tuple" even when it
   /// triggers several rules; this flag enables the finer granularity.
   bool task_per_rule = false;
-  /// Delta-tree backend override for parallel mode: 0 keeps the default
-  /// concurrent skip list; >= 1 installs the lock-striped tree with this
-  /// many stripes (the scalability experiment motivated by §6.5's
-  /// "threads contending for the same branches of the tree").
-  int delta_stripes = 0;
   /// SIMD dispatch for the columnar kernels (core/simd.h).  false pins
   /// every store to the scalar kernel table.  The JSTAR_SIMD env var is
   /// ANDed in by the dispatch layer, so the env kill-switch always wins:
@@ -69,14 +64,6 @@ struct EngineOptions {
   /// Morsel-parallel scans/kernels on the engine's fork/join pool.
   /// false keeps every scan sequential; JSTAR_MORSELS=off wins likewise.
   bool morsels = true;
-  /// Batch-at-a-time rule emission: RuleCtx::put/retract/upsert append
-  /// to per-(thread, table) buffers (causality checked eagerly, no lock
-  /// taken) and reach the Delta tree in one bulk append per table per
-  /// batch.  Results are bit-identical to direct puts at any worker
-  /// count; false restores the per-put enqueue.  JSTAR_EMIT=off wins
-  /// likewise (the differential harnesses pin the reference path with
-  /// it).
-  bool emit_buffer = true;
 };
 
 /// Summary of one Engine::run().
@@ -137,7 +124,10 @@ class Engine {
   }
 
   /// Initial put (a top-level `put` command).  Always goes through the
-  /// Delta set; triggers prepare() on first use.
+  /// Delta set; triggers prepare() on first use.  Call it (and retract/
+  /// upsert) from the thread that drives run()/step(), never during a
+  /// run: the Delta tree belongs to that thread and takes no lock.  Rules
+  /// put through Table::put(ctx, t) instead.
   template <typename T>
   void put(Table<T>& t, const T& tuple) {
     prepare();
@@ -147,7 +137,8 @@ class Engine {
 
   /// Initial retract: decrements the tuple's multiplicity; processed by
   /// the next run(), where hitting zero removes it from Gamma and fires
-  /// the sign -1 cascade.  Requires TableDecl::counted().
+  /// the sign -1 cascade.  Requires TableDecl::counted().  Same thread
+  /// contract as put().
   template <typename T>
   void retract(Table<T>& t, const T& tuple) {
     prepare();
@@ -156,7 +147,8 @@ class Engine {
 
   /// Initial upsert: "make the row for this tuple's primary key be
   /// exactly this tuple", displacing (and retracting downstream of) any
-  /// different incumbent.  Requires counted() and a primary_key.
+  /// different incumbent.  Requires counted() and a primary_key.  Same
+  /// thread contract as put().
   template <typename T>
   void upsert(Table<T>& t, const T& tuple) {
     prepare();
@@ -191,7 +183,7 @@ class Engine {
   const EngineOptions& options() const { return opts_; }
   OrderResolver& orders() { return orders_; }
   const EdgeMatrix& edges() const { return edges_; }
-  DeltaTree& delta() { return *delta_; }
+  DeltaTree& delta() { return delta_; }
   sched::ForkJoinPool* pool() {
     return external_pool_ != nullptr ? external_pool_ : pool_.get();
   }
@@ -204,7 +196,7 @@ class Engine {
   }
 
   /// Finalises declarations (freezes the order relation, builds stores and
-  /// the Delta backend).  Implicit on first put/run; idempotent.
+  /// the pool).  Implicit on first put/run; idempotent.
   void prepare();
 
  private:
@@ -219,7 +211,7 @@ class Engine {
   OrderResolver orders_;
   EdgeMatrix edges_;
   std::vector<std::unique_ptr<TableBase>> tables_;
-  std::unique_ptr<DeltaTree> delta_;
+  DeltaTree delta_;
   // process_batch scratch (coordinator-only): each table's per-tuple
   // freshness marks, reused across batches.
   std::vector<std::vector<std::uint8_t>> keep_;

@@ -1,7 +1,8 @@
 // Portable half of the SIMD dispatch layer: the scalar kernel table
 // (always available, also the tail routines the vector TUs reuse), cpuid
-// feature detection, and the JSTAR_SIMD kill-switch.  The -m flag-gated
-// vector tables live in simd_kernels_{avx2,avx512,neon}.cpp.
+// feature detection, and the JSTAR_SIMD / JSTAR_MORSELS kill-switches.
+// The -m flag-gated vector tables live in simd_kernels_{avx2,avx512,
+// neon}.cpp.
 #include "core/simd.h"
 
 #include <cctype>
@@ -80,21 +81,23 @@ Level detect_level_uncached() {
 #endif
 }
 
-Level env_cap() {
-  const char* raw = std::getenv("JSTAR_SIMD");
-  if (raw == nullptr) return Level::Avx512;  // no cap
+/// The value of env switch `name`, lower-cased, with every spelling of
+/// "off" ("off", "0", "false") folded to "off"; empty when unset.
+std::string env_switch(const char* name) {
   std::string s;
-  for (const char* p = raw; *p != '\0'; ++p) {
+  for (const char* p = std::getenv(name); p != nullptr && *p != '\0'; ++p) {
     s.push_back(static_cast<char>(
         std::tolower(static_cast<unsigned char>(*p))));
   }
-  if (s == "off" || s == "scalar" || s == "0" || s == "false") {
-    return Level::Scalar;
-  }
+  return s == "0" || s == "false" ? "off" : s;
+}
+
+Level env_cap() {
+  const std::string s = env_switch("JSTAR_SIMD");
+  if (s == "off" || s == "scalar") return Level::Scalar;
   if (s == "neon") return Level::Neon;
   if (s == "avx2") return Level::Avx2;
-  if (s == "avx512") return Level::Avx512;
-  return Level::Avx512;  // unrecognized: no cap
+  return Level::Avx512;  // unset, "avx512" or unrecognized: no cap
 }
 
 }  // namespace
@@ -157,30 +160,7 @@ Level resolved_level(Level level) {
 const Kernels& active_kernels() { return kernels(active_level()); }
 
 bool morsels_env_on() {
-  static const bool on = [] {
-    const char* raw = std::getenv("JSTAR_MORSELS");
-    if (raw == nullptr) return true;
-    std::string s;
-    for (const char* p = raw; *p != '\0'; ++p) {
-      s.push_back(static_cast<char>(
-          std::tolower(static_cast<unsigned char>(*p))));
-    }
-    return !(s == "off" || s == "0" || s == "false");
-  }();
-  return on;
-}
-
-bool emit_env_on() {
-  static const bool on = [] {
-    const char* raw = std::getenv("JSTAR_EMIT");
-    if (raw == nullptr) return true;
-    std::string s;
-    for (const char* p = raw; *p != '\0'; ++p) {
-      s.push_back(static_cast<char>(
-          std::tolower(static_cast<unsigned char>(*p))));
-    }
-    return !(s == "off" || s == "0" || s == "false");
-  }();
+  static const bool on = env_switch("JSTAR_MORSELS") != "off";
   return on;
 }
 

@@ -76,16 +76,13 @@ const Kernels& kernels(Level level);
 const Kernels& active_kernels();
 
 /// JSTAR_MORSELS kill-switch (the morsel axis' analogue of JSTAR_SIMD):
-/// false when the env var is off/scalar/0/false, true otherwise.  Cached
-/// after the first call.  Stores AND this with ExecHints::morsels.
+/// false when the env var is off/0/false, true otherwise.  Cached after
+/// the first call.  Stores AND this with ExecHints::morsels.
 bool morsels_env_on();
 
-/// JSTAR_EMIT kill-switch (the emit-buffer axis' analogue of JSTAR_SIMD /
-/// JSTAR_MORSELS): false when the env var is off/0/false, true otherwise.
-/// Cached after the first call.  The engine ANDs this with
-/// EngineOptions::emit_buffer, so the env always wins — differential
-/// harnesses pin the direct-put reference path from outside.
-bool emit_env_on();
+/// Always true: buffered emission is the engine's only put path.  Kept
+/// because the end-to-end benchmark (e2ebench/) records it per host.
+inline bool emit_env_on() { return true; }
 
 /// The level kernels(level) actually resolves to — what describe() and
 /// the bench JSON report.

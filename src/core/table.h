@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -428,11 +427,6 @@ class TableBase {
     /// env kill-switches are ANDed in downstream and win over these.
     bool simd = true;
     bool morsels = true;
-    /// Batch-at-a-time rule emission (EngineOptions::emit_buffer): rule
-    /// puts append to per-(thread, table) buffers and reach the Delta
-    /// tree in one bulk append per batch.  The JSTAR_EMIT env
-    /// kill-switch is ANDed in at configure() and wins over this.
-    bool emit_buffer = true;
     /// The owning engine's epoch clock (streaming); null in unit-test
     /// harnesses that configure tables without an engine.
     const std::atomic<std::int64_t>* epoch = nullptr;
@@ -461,8 +455,7 @@ class TableBase {
 
   /// COORDINATOR-ONLY, between batches (after the fire-phase join).
   /// Drains every emit buffer rules filled during the batch into the
-  /// Delta tree as bulk appends.  No-op for tables without buffered
-  /// emissions.
+  /// Delta tree.  No-op for tables without buffered emissions.
   virtual void flush_emits() {}
 
  protected:
@@ -978,11 +971,6 @@ class Table final : public TableBase {
     no_delta_ = no_delta;
     no_gamma_ = no_gamma;
     has_pk_ = static_cast<bool>(decl_.pk_) && !no_gamma;
-    // Batch-at-a-time emission: the env kill-switch is ANDed in so
-    // JSTAR_EMIT=off always wins over EngineOptions::emit_buffer.
-    // -noDelta tables bypass the Delta tree entirely, so there is
-    // nothing to buffer for them.
-    emit_enabled_ = env_.emit_buffer && simd::emit_env_on() && !no_delta;
     // Resolve orderby levels into key-building steps.  At least one
     // comparable (lit/seq) level is required: an all-par orderby would give
     // every tuple the empty timestamp, which is reserved for initial puts.
@@ -1141,7 +1129,16 @@ class Table final : public TableBase {
     auto& bv = static_cast<BatchVec&>(slice);
     const std::int64_t n = static_cast<std::int64_t>(bv.items.size());
     keep.assign(static_cast<std::size_t>(n), kKeepNone);
-    if (decl_.counted_) bv.displaced.resize(bv.items.size());
+    // An upsert resolves against the live pk slot, so two upserts of one
+    // pk on different workers would both find it free and the second
+    // could not claim it.  A counted slice holding any upsert therefore
+    // runs on this thread, in batch order, like the sequential engine.
+    bool in_order = false;
+    if (decl_.counted_) {
+      bv.displaced.resize(bv.items.size());
+      in_order = std::find(bv.sign.begin(), bv.sign.end(), kUpsertSign) !=
+                 bv.sign.end();
+    }
     auto insert_one = [&](std::int64_t i) {
       const auto u = static_cast<std::size_t>(i);
       if (!decl_.counted_) {
@@ -1157,7 +1154,7 @@ class Table final : public TableBase {
         keep[u] = counted_apply(bv.items[u], s);
       }
     };
-    lazy_split(env_.pool, n, insert_one);
+    lazy_split(in_order ? nullptr : env_.pool, n, insert_one);
   }
 
   void batch_fire_phase(BatchVecBase& slice,
@@ -1228,10 +1225,9 @@ class Table final : public TableBase {
     emit_dirty_.store(false, std::memory_order_relaxed);
     // Gather in deterministic order: worker-slot hint, then registration
     // order.  Sequential mode has exactly one buffer, so the gathered
-    // order is the exact put order — making the flush bit-identical to
-    // direct enqueues; in parallel mode the within-batch put order is
-    // already schedule-dependent on the direct path and the batch
-    // combining semantics (append_one) are order-insensitive.
+    // order is the exact put order; in parallel mode the within-batch put
+    // order is schedule-dependent anyway, and the batch-combining
+    // semantics (append_one) are order-insensitive.
     std::vector<EmitBuffer*> bufs;
     {
       std::lock_guard<std::mutex> lk(emit_mu_);
@@ -1246,63 +1242,21 @@ class Table final : public TableBase {
                 return a->slot != b->slot ? a->slot < b->slot
                                           : a->seq < b->seq;
               });
-    // Index the records in place (one pointer each — the records
-    // themselves stay in their buffers until the bulk append below has
-    // consumed them; copying them out here would cost more than the
-    // direct path's per-put tree probe saved).
-    flush_ptrs_.clear();
-    std::size_t total = 0;
-    for (const EmitBuffer* b : bufs) total += b->recs.size();
-    flush_ptrs_.reserve(total);
-    // Group records by key in first-appearance order.  Grouping, not
-    // sorting: O(n) against O(n log n), and within-key order stays the
-    // gather order (sequential-mode exactness again).  Rule batches emit
-    // long runs of one causality key (a stratum derives into the next),
-    // so the previous record's group is memoized and the ordered map is
-    // only probed on key transitions.
-    flush_groups_.clear();
-    flush_next_.assign(total, -1);
-    std::map<DeltaKey, std::size_t, DeltaKeyLess> group_of;
-    std::size_t last_group = 0;
+    // Replay every record through append_one in gather order.  Rule
+    // batches emit long runs of one causality key (a stratum derives into
+    // the next), so the Delta tree is probed only where the key changes.
     const DeltaKey* last_key = nullptr;
+    BatchVec* bv = nullptr;
     for (EmitBuffer* b : bufs) {
       for (const EmitRecord& r : b->recs) {
-        const auto ii = static_cast<std::ptrdiff_t>(flush_ptrs_.size());
-        flush_ptrs_.push_back(&r);
         if (last_key == nullptr || !(*last_key == r.key)) {
-          const auto [it, fresh] =
-              group_of.try_emplace(r.key, flush_groups_.size());
-          if (fresh) flush_groups_.push_back(EmitGroup{ii, -1, 0});
-          last_group = it->second;
+          bv = &slice_of(env_.delta->get_or_insert(r.key));
           last_key = &r.key;
         }
-        EmitGroup& g = flush_groups_[last_group];
-        if (g.count > 0) {
-          flush_next_[static_cast<std::size_t>(g.tail)] = ii;
-        }
-        g.tail = ii;
-        ++g.count;
+        append_one(*bv, r.tuple, r.sign);
       }
     }
-    // One bulk append per distinct key: the tree resolves every node in
-    // one call (the striped backend locks each touched stripe once), and
-    // flush_visit locks each BatchNode once, reserves its slice once,
-    // and funnels the group's records through append_one — one lock and
-    // one dedup-set rehash per flush instead of one per tuple.
-    flush_keys_.clear();
-    flush_keys_.reserve(flush_groups_.size());
-    for (const EmitGroup& g : flush_groups_) {
-      flush_keys_.push_back(
-          flush_ptrs_[static_cast<std::size_t>(g.head)]->key);
-    }
-    env_.delta->get_or_insert_batch(
-        flush_keys_.data(), flush_keys_.size(),
-        [](void* self, std::size_t gi, BatchNode& node) {
-          static_cast<Table*>(self)->flush_visit(gi, node);
-        },
-        this);
     stats_.emit_flushes.fetch_add(1, std::memory_order_relaxed);
-    flush_ptrs_.clear();
     for (EmitBuffer* b : bufs) b->recs.clear();  // keeps capacity
   }
 
@@ -1356,15 +1310,6 @@ class Table final : public TableBase {
     std::vector<EmitRecord> recs;
   };
 
-  /// One distinct DeltaKey's slice of a flush: a chain (head/tail into
-  /// flush_next_, indices into flush_ptrs_) over the in-place records, in
-  /// first-appearance order.  The key itself lives in the head record.
-  struct EmitGroup {
-    std::ptrdiff_t head;
-    std::ptrdiff_t tail;
-    std::size_t count;
-  };
-
   static constexpr std::size_t kEmitCacheSlots = 8;
 
   /// The calling thread's buffer for this table, registering one on
@@ -1396,21 +1341,6 @@ class Table final : public TableBase {
     cache[evict] = CacheEntry{this, emit_serial_, buf};
     evict = (evict + 1) % kEmitCacheSlots;
     return *buf;
-  }
-
-  /// Appends one flush group into its (bulk-resolved) BatchNode.
-  void flush_visit(std::size_t gi, BatchNode& node) {
-    const EmitGroup& g = flush_groups_[gi];
-    std::lock_guard<std::mutex> lk(node.mu);
-    BatchVec& bv = slice_of(node);
-    bv.items.reserve(bv.items.size() + g.count);
-    bv.sign.reserve(bv.sign.size() + g.count);
-    bv.seen.reserve(bv.seen.size() + g.count);
-    for (std::ptrdiff_t i = g.head; i >= 0;
-         i = flush_next_[static_cast<std::size_t>(i)]) {
-      const EmitRecord& r = *flush_ptrs_[static_cast<std::size_t>(i)];
-      append_one(bv, r.tuple, r.sign);
-    }
   }
 
   struct KeyStep {
@@ -1534,18 +1464,15 @@ class Table final : public TableBase {
       // Counted tables reject -noDelta at configure time, so only +1
       // deltas can reach the inline path.
       deliver_now(k, t);
-    } else if (emit_enabled_) {
-      // Batch-at-a-time emission: the causality check above ran eagerly
-      // (same throw point as the direct path), but the Delta tree is not
-      // touched here — the record lands in this thread's private buffer
-      // and reaches the tree in one bulk append at flush_emits().
-      EmitBuffer& buf = local_emit_buffer();
-      buf.recs.push_back(EmitRecord{std::move(k), t, sign});
-      emit_dirty_.store(true, std::memory_order_relaxed);
-      stats_.emit_buffered.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      enqueue_delta(k, t, sign);
+      return;
     }
+    // The Delta tree belongs to the thread driving the engine, so a rule
+    // (on whatever thread fires it) only appends the record to its own
+    // buffer; the coordinator moves it into the tree at flush_emits().
+    EmitBuffer& buf = local_emit_buffer();
+    buf.recs.push_back(EmitRecord{std::move(k), t, sign});
+    emit_dirty_.store(true, std::memory_order_relaxed);
+    stats_.emit_buffered.fetch_add(1, std::memory_order_relaxed);
   }
 
   void check_signed_ok(std::int32_t sign) const {
@@ -1557,14 +1484,13 @@ class Table final : public TableBase {
                     "upsert into '" + name_ + "' needs a primary key");
   }
 
+  /// Initial puts and seeds: straight into the Delta tree (coordinator).
   void enqueue_delta(const DeltaKey& k, const T& t, std::int32_t sign = 1) {
-    BatchNode& node = env_.delta->get_or_insert(k);
-    std::lock_guard<std::mutex> lk(node.mu);
-    append_one(slice_of(node), t, sign);
+    append_one(slice_of(env_.delta->get_or_insert(k)), t, sign);
   }
 
-  /// This table's slice of `node` (node.mu held by the caller), created
-  /// lazily.  Shared by the per-tuple enqueue and the bulk emit flush.
+  /// This table's slice of `node`, created lazily.  Shared by the initial
+  /// enqueue and the emit flush.
   BatchVec& slice_of(BatchNode& node) {
     if (node.per_table.size() <= static_cast<std::size_t>(id_)) {
       node.per_table.resize(static_cast<std::size_t>(id_) + 1);
@@ -1574,12 +1500,10 @@ class Table final : public TableBase {
     return static_cast<BatchVec&>(*slot);
   }
 
-  /// Appends one signed tuple into slice `bv` (node.mu held by the
-  /// caller): set-semantics dedup for plain tables, signed multiplicity
-  /// accumulation and upsert supersede for counted ones.  The single
-  /// definition of batch-combining semantics — the direct put path and
-  /// the emit flush both land here, which is what makes them
-  /// bit-identical.
+  /// Appends one signed tuple into slice `bv`: set-semantics dedup for
+  /// plain tables, signed multiplicity accumulation and upsert supersede
+  /// for counted ones.  The single definition of batch-combining
+  /// semantics — initial puts and the emit flush both land here.
   void append_one(BatchVec& bv, const T& t, std::int32_t sign) {
     const auto [it, fresh] = bv.seen.emplace(t, bv.items.size());
     if (fresh) {
@@ -2130,16 +2054,10 @@ class Table final : public TableBase {
   std::unordered_map<std::int64_t, T> pk_index_seq_;
   mutable concurrent::StripedHashMap<std::int64_t, T> pk_index_par_{64};
   // --- batch-at-a-time emission state ---
-  bool emit_enabled_ = false;  // configure(): option AND env AND !noDelta
   const std::uint64_t emit_serial_ = next_emit_serial();
   std::atomic<bool> emit_dirty_{false};  // any record buffered since flush
   std::mutex emit_mu_;  // guards emit_buffers_ registration
   std::vector<std::unique_ptr<EmitBuffer>> emit_buffers_;
-  // flush_emits scratch (coordinator-only), reused across batches.
-  std::vector<const EmitRecord*> flush_ptrs_;
-  std::vector<std::ptrdiff_t> flush_next_;
-  std::vector<EmitGroup> flush_groups_;
-  std::vector<DeltaKey> flush_keys_;
 };
 
 }  // namespace jstar

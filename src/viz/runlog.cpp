@@ -279,7 +279,8 @@ std::string dot_graph(const RunLog& log) {
          << " runs\\l";
     }
     // Batch-at-a-time emission, shown only for tables that buffered or
-    // fired inline at least once (keeps direct-put graphs unchanged).
+    // fired inline at least once (tables fed only by initial puts or
+    // -noDelta delivery keep their plain labels).
     if (t.emit_buffered + t.inline_batches > 0) {
       os << "emitted=" << t.emit_buffered << " flushes=" << t.emit_flushes
          << " inline=" << t.inline_batches << "\\l";

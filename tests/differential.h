@@ -272,12 +272,10 @@ inline std::set<Tok> sharded_fixpoint(const Program& p, int shards,
                                           nullptr,
                                       StoreKind store = StoreKind::Default,
                                       const dist::ShardedOptions* fabric =
-                                          nullptr,
-                                      bool emit_buffer = true) {
+                                          nullptr) {
   EngineOptions opts;
   opts.sequential = sequential_engines;
   opts.threads = 2;
-  opts.emit_buffer = emit_buffer;
   dist::ShardedOptions sopts;
   if (fabric != nullptr) sopts = *fabric;
   sopts.mode = mode;
@@ -473,12 +471,10 @@ inline std::set<Tok> counted_sharded_fixpoint(const CountedCase& c,
                                                   StoreKind::Default,
                                               std::int64_t retain = 0,
                                               bool epoch_per_wave = false,
-                                              bool with_pk = false,
-                                              bool emit_buffer = true) {
+                                              bool with_pk = false) {
   EngineOptions opts;
   opts.sequential = sequential_engines;
   opts.threads = 2;
-  opts.emit_buffer = emit_buffer;
   dist::ShardedOptions sopts;
   sopts.mode = mode;
 

@@ -1,5 +1,5 @@
 // Tests for the concurrent containers: the lazy skip-list map/set (the
-// ConcurrentSkipListMap/Set stand-ins used by the Delta tree and Gamma)
+// ConcurrentSkipListMap/Set stand-ins behind the parallel Gamma default)
 // and the striped hash map/set (ConcurrentHashMap stand-in, §6.2).
 #include <gtest/gtest.h>
 
@@ -12,8 +12,6 @@
 #include "concurrent/skip_list_map.h"
 #include "concurrent/skip_list_set.h"
 #include "concurrent/striped_hash_map.h"
-#include "core/key.h"
-#include "core/striped_delta_tree.h"
 #include "util/rng.h"
 
 namespace jstar::concurrent {
@@ -271,55 +269,6 @@ TEST(StripedHashSet, SetSemanticsUnderContention) {
   EXPECT_EQ(s.size(), 1000u);
   EXPECT_TRUE(s.contains(999));
   EXPECT_FALSE(s.contains(1000));
-}
-
-// StripedDeltaTree's maintenance entry points (batch_count,
-// collect_garbage) take all stripe locks in one deterministic ascending
-// order; interleave them from 8 threads against concurrent get_or_insert
-// traffic — any ordering disagreement deadlocks, any size-counter skew
-// trips collect_garbage's consistency check.
-TEST(StripedDeltaTree, MaintenanceInterleavesWithInsertsAcross8Threads) {
-  jstar::StripedDeltaTree tree(8);
-  constexpr int kThreads = 8;
-  constexpr int kOps = 4000;
-  constexpr std::uint64_t kKeySpace = 512;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      SplitMix64 rng(static_cast<std::uint64_t>(t) * 977 + 1);
-      for (int i = 0; i < kOps; ++i) {
-        const std::uint64_t dice = rng.next_below(100);
-        if (dice < 90) {
-          jstar::DeltaKey k;
-          k.push_back(static_cast<std::int64_t>(rng.next_below(kKeySpace)));
-          tree.get_or_insert(k);
-        } else if (dice < 95) {
-          // Consistent snapshot under all stripe locks.
-          EXPECT_LE(tree.batch_count(), static_cast<std::size_t>(kKeySpace));
-        } else {
-          tree.collect_garbage();  // validates the lock-free size cache
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  // Exclusive drain: keys come out in strict global causality order and
-  // the lock-free emptiness flips exactly at the end.
-  EXPECT_FALSE(tree.empty());
-  jstar::DeltaKey key, prev;
-  std::unique_ptr<jstar::BatchNode> node;
-  std::size_t drained = 0;
-  while (tree.pop_min(key, node)) {
-    if (drained > 0) {
-      EXPECT_EQ((prev <=> key), std::strong_ordering::less);
-    }
-    prev = key;
-    ++drained;
-  }
-  EXPECT_GT(drained, 0u);
-  EXPECT_LE(drained, static_cast<std::size_t>(kKeySpace));
-  EXPECT_TRUE(tree.empty());
-  EXPECT_EQ(tree.batch_count(), 0u);
 }
 
 }  // namespace

@@ -11,8 +11,8 @@
 // job runs 2000) and failures print a one-seed replay command.
 //
 // Also covered here: the EngineOptions flag matrix (no_delta x no_gamma x
-// task_per_rule x delta_stripes) differentially against the oracle — these
-// flags were previously only exercised one at a time — plus deterministic
+// task_per_rule) differentially against the oracle — these flags were
+// previously only exercised one at a time — plus deterministic
 // exception propagation when several shards throw (lowest shard id wins)
 // and the async report's per-shard busy/drain counters.
 #include <gtest/gtest.h>
@@ -30,7 +30,10 @@ namespace jstar::dist {
 namespace {
 
 using difftest::Program;
+using difftest::StoreKind;
 using difftest::Tok;
+using difftest::expect_phases_split;
+using difftest::expensive_seed;
 using difftest::oracle_fixpoint;
 using difftest::random_program;
 using difftest::random_small_program;
@@ -40,6 +43,7 @@ using difftest::seed_count;
 using difftest::sharded_fixpoint;
 using difftest::single_engine_fixpoint;
 using difftest::tok_decl;
+using difftest::with_expensive_rules;
 
 // ---------------------------------------------------------------------------
 // The differential sweep: >= 200 seeds, shard counts cycling 1/2/3/8.
@@ -136,12 +140,13 @@ TEST(AsyncDifferential, BackpressureAndTinyBatchesMatchOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// EngineOptions flag matrix: no_delta x no_gamma x task_per_rule x
-// delta_stripes, swept differentially.  The programs use the small shape
-// (2 duplicate rules, low fan-out/depth) because -noGamma removes
-// set-semantics dedup: every derivation path is walked, and the observed
-// set is collected through the table effect (fires once per delivery)
-// rather than a Gamma scan.
+// EngineOptions flag matrix: no_delta x no_gamma x task_per_rule, swept
+// differentially.  The programs use the small shape (2 duplicate rules,
+// low fan-out/depth) because -noGamma removes set-semantics dedup: every
+// derivation path is walked, and the observed set is collected through
+// the table effect (fires once per delivery) rather than a Gamma scan.
+// Expensive-rule seeds split the parallel fire phases, which with
+// -noDelta makes pool workers deliver straight into Gamma.
 // ---------------------------------------------------------------------------
 
 TEST(EngineOptionsMatrix, AllFlagCombinationsMatchOracle) {
@@ -150,30 +155,35 @@ TEST(EngineOptionsMatrix, AllFlagCombinationsMatchOracle) {
   const std::uint64_t base = seed_base();
   const std::uint64_t count = seed_count(24);
   for (std::uint64_t seed = base; seed < base + count; ++seed) {
-    const Program p = random_small_program(seed * 0x51ed2701ULL + 3);
+    Program p = random_small_program(seed * 0x51ed2701ULL + 3);
+    if (expensive_seed(seed)) p = with_expensive_rules(p);
     const std::set<Tok> expect = oracle_fixpoint(p);
     for (const bool sequential : {true, false}) {
       for (const bool no_delta : {false, true}) {
         for (const bool no_gamma : {false, true}) {
-          // task_per_rule and delta_stripes only exist in parallel mode.
-          const std::vector<std::pair<bool, int>> parallel_axes =
-              sequential ? std::vector<std::pair<bool, int>>{{false, 0}}
-                         : std::vector<std::pair<bool, int>>{
-                               {false, 0}, {true, 0}, {false, 4}, {true, 4}};
-          for (const auto& [task_per_rule, stripes] : parallel_axes) {
+          // task_per_rule only exists in parallel mode.
+          for (const bool task_per_rule :
+               sequential ? std::vector<bool>{false}
+                          : std::vector<bool>{false, true}) {
             EngineOptions opts;
             opts.sequential = sequential;
             opts.threads = 2;
             opts.task_per_rule = task_per_rule;
-            opts.delta_stripes = stripes;
             if (no_delta) opts.no_delta.insert("Tok");
             if (no_gamma) opts.no_gamma.insert("Tok");
-            ASSERT_EQ(single_engine_fixpoint(p, opts), expect)
-                << "sequential=" << sequential << " no_delta=" << no_delta
-                << " no_gamma=" << no_gamma
-                << " task_per_rule=" << task_per_rule
-                << " delta_stripes=" << stripes << ", "
-                << repro(seed, "test_dist_async", kFilter);
+            const std::string where =
+                "sequential=" + std::to_string(sequential) +
+                " no_delta=" + std::to_string(no_delta) +
+                " no_gamma=" + std::to_string(no_gamma) +
+                " task_per_rule=" + std::to_string(task_per_rule) + ", " +
+                repro(seed, "test_dist_async", kFilter);
+            RunReport r;
+            ASSERT_EQ(single_engine_fixpoint(p, opts, StoreKind::Default, &r),
+                      expect)
+                << where;
+            if (!sequential && expensive_seed(seed)) {
+              expect_phases_split(p, r, where);
+            }
           }
         }
       }

@@ -1,23 +1,22 @@
-// Differential sweep for batch-at-a-time rule firing (emit buffers): the
-// buffered emit path — RuleCtx puts staged in per-worker buffers and bulk
-// flushed into the Delta tree once per fire phase — must be bit-identical
-// to direct per-put Delta appends under every schedule.  Buffered runs are
-// pinned against direct-put runs (EngineOptions::emit_buffer = false) and
-// the engine-free oracle across sequential / BSP / async sharding, the
-// default / flat / columnar substrates, counted retract/upsert waves and
-// streaming-style epoch boundaries, at 1/2/4/8 workers.
+// Differential sweep for batch-at-a-time rule firing (emit buffers): every
+// rule put is staged in a per-worker buffer and flushed into the Delta
+// tree by the coordinator once per fire phase.  The results are pinned
+// against the engine-free oracle, or against the sequential engine where
+// no closed-form oracle exists (upsert waves, retain(N) epoch waves),
+// across sequential / BSP / async sharding, the default / flat / columnar
+// substrates, counted retract/upsert waves and streaming-style epoch
+// boundaries, at 1/2/4/8 workers.
 //
 // Why this must hold: append_one (core/table.h) is the single definition
 // of batch-combining semantics — dedup, counted sign accumulation, upsert
-// supersede — and the flush replays the exact same records through it,
-// grouped by key in first-appearance order.  Any divergence here means the
-// flush reordered, dropped or double-applied a record.
+// supersede — and the flush replays every record through it.  Any
+// divergence here means the flush reordered, dropped or double-applied a
+// record.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
 
-#include "core/simd.h"
 #include "differential.h"
 
 namespace jstar::difftest {
@@ -28,8 +27,8 @@ constexpr const char* kExe = "test_emit_differential";
 // --- set-semantics derivation programs -------------------------------------
 
 // Sequential mode is the strictest pin: one worker, one buffer, so the
-// flush must preserve the exact put order of the direct path.
-TEST(EmitDifferential, SequentialBufferedMatchesDirectEveryStore) {
+// flush replays the exact put order.
+TEST(EmitDifferential, SequentialMatchesOracleEveryStore) {
   const std::uint64_t n = seed_count();
   const std::uint64_t base = seed_base();
   for (std::uint64_t seed = base; seed < base + n; ++seed) {
@@ -37,29 +36,18 @@ TEST(EmitDifferential, SequentialBufferedMatchesDirectEveryStore) {
     const std::set<Tok> want = oracle_fixpoint(p);
     for (const StoreKind store :
          {StoreKind::Default, StoreKind::FlatOrdered, StoreKind::Columnar}) {
-      EngineOptions direct;
-      direct.sequential = true;
-      direct.emit_buffer = false;
-      EngineOptions buffered;
-      buffered.sequential = true;
-      buffered.emit_buffer = true;
-      const std::set<Tok> got_direct = single_engine_fixpoint(p, direct, store);
-      const std::set<Tok> got_buffered =
-          single_engine_fixpoint(p, buffered, store);
-      EXPECT_EQ(got_direct, want)
-          << to_string(store) << " direct diverged from oracle, "
-          << repro(seed, kExe, "EmitDifferential.*EveryStore");
-      EXPECT_EQ(got_buffered, got_direct)
-          << to_string(store) << " buffered diverged from direct, "
+      EngineOptions opts;
+      opts.sequential = true;
+      EXPECT_EQ(single_engine_fixpoint(p, opts, store), want)
+          << to_string(store) << " diverged from oracle, "
           << repro(seed, kExe, "EmitDifferential.*EveryStore");
     }
   }
 }
 
 // The headline acceptance gate: buffered results are bit-identical at any
-// worker count, including the striped-Delta backend's bulk appends.
-// Expensive-rule seeds put the fire phases on the pool, so buffers of
-// several threads reach each flush.
+// worker count.  Expensive-rule seeds put the fire phases on the pool, so
+// buffers of several threads reach each flush.
 TEST(EmitDifferential, BufferedBitIdenticalAcrossWorkerCounts) {
   const std::uint64_t n = seed_count();
   const std::uint64_t base = seed_base();
@@ -71,8 +59,6 @@ TEST(EmitDifferential, BufferedBitIdenticalAcrossWorkerCounts) {
       EngineOptions opts;
       opts.sequential = false;
       opts.threads = threads;
-      opts.emit_buffer = true;
-      if (threads == 4) opts.delta_stripes = 8;  // striped bulk appends
       RunReport r;
       const std::string where =
           std::to_string(threads) + " workers, " +
@@ -98,7 +84,6 @@ TEST(EmitDifferential, BufferedTaskPerRule) {
     opts.sequential = false;
     opts.threads = 4;
     opts.task_per_rule = true;
-    opts.emit_buffer = true;
     RunReport r;
     const std::string where =
         repro(seed, kExe, "EmitDifferential.BufferedTaskPerRule");
@@ -110,8 +95,8 @@ TEST(EmitDifferential, BufferedTaskPerRule) {
 
 // Sharded schedules: buffered emit runs inside every shard engine while
 // cross-shard traffic rides the mailbox; BSP and async must both land on
-// the direct-put fixpoint.
-TEST(EmitDifferential, ShardedBufferedMatchesDirect) {
+// the oracle's fixpoint.
+TEST(EmitDifferential, ShardedMatchesOracle) {
   const std::uint64_t n = seed_count();
   const std::uint64_t base = seed_base();
   for (std::uint64_t seed = base; seed < base + n; ++seed) {
@@ -119,17 +104,11 @@ TEST(EmitDifferential, ShardedBufferedMatchesDirect) {
     const std::set<Tok> want = oracle_fixpoint(p);
     for (const dist::ShardedMode mode :
          {dist::ShardedMode::Bsp, dist::ShardedMode::Async}) {
-      const std::set<Tok> direct = sharded_fixpoint(
-          p, /*shards=*/3, mode, /*sequential_engines=*/false, nullptr,
-          StoreKind::Default, nullptr, /*emit_buffer=*/false);
-      const std::set<Tok> buffered = sharded_fixpoint(
-          p, /*shards=*/3, mode, /*sequential_engines=*/false, nullptr,
-          StoreKind::Default, nullptr, /*emit_buffer=*/true);
-      EXPECT_EQ(direct, want)
-          << repro(seed, kExe, "EmitDifferential.ShardedBufferedMatchesDirect");
-      EXPECT_EQ(buffered, direct)
+      EXPECT_EQ(sharded_fixpoint(p, /*shards=*/3, mode,
+                                 /*sequential_engines=*/false),
+                want)
           << (mode == dist::ShardedMode::Bsp ? "bsp" : "async") << ", "
-          << repro(seed, kExe, "EmitDifferential.ShardedBufferedMatchesDirect");
+          << repro(seed, kExe, "EmitDifferential.ShardedMatchesOracle");
     }
   }
 }
@@ -149,17 +128,14 @@ TEST(EmitDifferential, CountedRetractWavesBuffered) {
       EngineOptions par;
       par.sequential = false;
       par.threads = 4;
-      par.emit_buffer = true;
       EXPECT_EQ(counted_single_fixpoint(c, par, store), want)
           << to_string(store) << " parallel buffered, "
           << repro(seed, kExe, "EmitDifferential.CountedRetractWavesBuffered");
     }
     for (const dist::ShardedMode mode :
          {dist::ShardedMode::Bsp, dist::ShardedMode::Async}) {
-      EXPECT_EQ(counted_sharded_fixpoint(
-                    c, /*shards=*/3, mode, /*sequential_engines=*/false,
-                    StoreKind::Default, /*retain=*/0, /*epoch_per_wave=*/false,
-                    /*with_pk=*/false, /*emit_buffer=*/true),
+      EXPECT_EQ(counted_sharded_fixpoint(c, /*shards=*/3, mode,
+                                         /*sequential_engines=*/false),
                 want)
           << (mode == dist::ShardedMode::Bsp ? "bsp" : "async") << ", "
           << repro(seed, kExe, "EmitDifferential.CountedRetractWavesBuffered");
@@ -167,22 +143,19 @@ TEST(EmitDifferential, CountedRetractWavesBuffered) {
   }
 }
 
-// Upsert-heavy keyed waves: the kUpsertSign supersede must flush exactly
-// like the direct path (last overwrite per quiescence interval wins).
+// Upsert-heavy keyed waves: the kUpsertSign supersede must land like the
+// sequential engine's (last overwrite per quiescence interval wins).
 TEST(EmitDifferential, UpsertWavesBuffered) {
   const std::uint64_t n = seed_count();
   const std::uint64_t base = seed_base();
   for (std::uint64_t seed = base; seed < base + n; ++seed) {
     const CountedCase c = make_upsert_heavy_case(seed);
-    EngineOptions direct;
-    direct.sequential = true;
-    direct.emit_buffer = false;
-    EngineOptions buffered;
-    buffered.sequential = false;
-    buffered.threads = 4;
-    buffered.emit_buffer = true;
-    EXPECT_EQ(upsert_single_fixpoint(c, buffered),
-              upsert_single_fixpoint(c, direct))
+    EngineOptions seq;
+    seq.sequential = true;
+    EngineOptions par;
+    par.sequential = false;
+    par.threads = 4;
+    EXPECT_EQ(upsert_single_fixpoint(c, par), upsert_single_fixpoint(c, seq))
         << repro(seed, kExe, "EmitDifferential.UpsertWavesBuffered");
   }
 }
@@ -194,16 +167,14 @@ TEST(EmitDifferential, EpochWavesWithRetainBuffered) {
   const std::uint64_t base = seed_base();
   for (std::uint64_t seed = base; seed < base + n; ++seed) {
     const CountedCase c = make_delete_heavy_case(seed);
-    EngineOptions direct;
-    direct.sequential = true;
-    direct.emit_buffer = false;
-    EngineOptions buffered;
-    buffered.sequential = false;
-    buffered.threads = 4;
-    buffered.emit_buffer = true;
+    EngineOptions seq;
+    seq.sequential = true;
+    EngineOptions par;
+    par.sequential = false;
+    par.threads = 4;
     const std::set<Tok> want = counted_single_fixpoint(
-        c, direct, StoreKind::Default, /*retain=*/2, /*epoch_per_wave=*/true);
-    EXPECT_EQ(counted_single_fixpoint(c, buffered, StoreKind::Default,
+        c, seq, StoreKind::Default, /*retain=*/2, /*epoch_per_wave=*/true);
+    EXPECT_EQ(counted_single_fixpoint(c, par, StoreKind::Default,
                                       /*retain=*/2, /*epoch_per_wave=*/true),
               want)
         << repro(seed, kExe, "EmitDifferential.EpochWavesWithRetainBuffered");
@@ -212,43 +183,44 @@ TEST(EmitDifferential, EpochWavesWithRetainBuffered) {
 
 // --- emit mechanics --------------------------------------------------------
 
-// The buffered path actually engages (and surfaces its counters through
-// RunReport), and the EngineOptions kill-switch routes puts back to the
-// direct path.  The JSTAR_EMIT=off env lane is exercised by the CI
-// forced-scalar job, which runs this whole binary with buffering disabled
-// — in that lane the buffered-run counters legitimately read zero.
-TEST(EmitMechanics, CountersSurfaceAndKillSwitchWorks) {
+// Rule puts travel through the emit buffers in both modes and surface
+// their counters through RunReport, while -noDelta tables keep their
+// inline delivery and never touch a buffer.
+TEST(EmitMechanics, CountersSurface) {
   struct Hop {
     std::int64_t n;
     auto operator<=>(const Hop&) const = default;
   };
-  const bool env_on = simd::emit_env_on();
-  for (const bool emit : {true, false}) {
-    EngineOptions opts;
-    opts.sequential = false;
-    opts.threads = 2;
-    opts.emit_buffer = emit;
-    Engine eng(opts);
-    auto& hop = eng.table(TableDecl<Hop>("Hop")
-                              .orderby_lit("T")
-                              .orderby_seq("n", &Hop::n)
-                              .hash([](const Hop& h) {
-                                return hash_fields(h.n);
-                              }));
-    // 64 independent chains of 201 tuples each (seed i*1000 walks to
-    // i*1000 + 200), so fire phases have real width and real emit volume.
-    eng.rule(hop, "step", [&](RuleCtx& ctx, const Hop& h) {
-      if (h.n % 1000 < 200) hop.put(ctx, Hop{h.n + 1});
-    });
-    for (std::int64_t i = 0; i < 64; ++i) eng.put(hop, Hop{i * 1000});
-    const RunReport r = eng.run();
-    EXPECT_EQ(hop.gamma_size(), 64u * 201u) << "emit=" << emit;
-    if (emit && env_on) {
-      EXPECT_GT(r.emit_buffered, 0);
-      EXPECT_GT(r.emit_flushes, 0);
-    } else {
-      EXPECT_EQ(r.emit_buffered, 0) << "emit=" << emit;
-      EXPECT_EQ(r.emit_flushes, 0) << "emit=" << emit;
+  for (const bool sequential : {true, false}) {
+    for (const bool no_delta : {false, true}) {
+      EngineOptions opts;
+      opts.sequential = sequential;
+      opts.threads = 2;
+      if (no_delta) opts.no_delta.insert("Hop");
+      Engine eng(opts);
+      auto& hop = eng.table(TableDecl<Hop>("Hop")
+                                .orderby_lit("T")
+                                .orderby_seq("n", &Hop::n)
+                                .hash([](const Hop& h) {
+                                  return hash_fields(h.n);
+                                }));
+      // 64 independent chains of 201 tuples each (seed i*1000 walks to
+      // i*1000 + 200), so fire phases have real width and emit volume.
+      eng.rule(hop, "step", [&](RuleCtx& ctx, const Hop& h) {
+        if (h.n % 1000 < 200) hop.put(ctx, Hop{h.n + 1});
+      });
+      for (std::int64_t i = 0; i < 64; ++i) eng.put(hop, Hop{i * 1000});
+      const RunReport r = eng.run();
+      const std::string where = "sequential=" + std::to_string(sequential) +
+                                " no_delta=" + std::to_string(no_delta);
+      EXPECT_EQ(hop.gamma_size(), 64u * 201u) << where;
+      if (no_delta) {
+        EXPECT_EQ(r.emit_buffered, 0) << where;
+        EXPECT_EQ(r.emit_flushes, 0) << where;
+      } else {
+        EXPECT_EQ(r.emit_buffered, 64 * 200) << where;
+        EXPECT_GT(r.emit_flushes, 0) << where;
+      }
     }
   }
 }
@@ -263,7 +235,6 @@ TEST(EmitMechanics, StragglerBufferFlushedAtNextRun) {
   };
   EngineOptions opts;
   opts.sequential = true;
-  opts.emit_buffer = true;
   Engine eng(opts);
   auto& ev = eng.table(TableDecl<Ev>("Ev")
                            .orderby_lit("T")

@@ -35,8 +35,6 @@ struct Strategy {
   bool no_delta_step;
   std::string label;
   bool task_per_rule = false;  // §5.2 one task per (tuple, rule)
-  int delta_stripes = 0;       // lock-striped Delta backend (>= 1)
-  bool emit_buffer = true;     // batch-at-a-time emission (core/table.h)
 };
 
 std::ostream& operator<<(std::ostream& os, const Strategy& s) {
@@ -56,8 +54,6 @@ ProgramOutput run_program(const Strategy& strat) {
   opts.sequential = strat.sequential;
   opts.threads = strat.threads;
   opts.task_per_rule = strat.task_per_rule;
-  opts.delta_stripes = strat.delta_stripes;
-  opts.emit_buffer = strat.emit_buffer;
   if (strat.no_delta_step) opts.no_delta.insert("Step");
   Engine eng(opts);
 
@@ -125,18 +121,7 @@ INSTANTIATE_TEST_SUITE_P(
         Strategy{false, 8, false, "parallel8"},
         Strategy{false, 4, true, "parallel4_noDelta"},
         Strategy{false, 2, false, "parallel2_taskPerRule", true},
-        Strategy{false, 4, false, "parallel4_taskPerRule", true},
-        Strategy{false, 4, false, "parallel4_stripedDelta1", false, 1},
-        Strategy{false, 4, false, "parallel4_stripedDelta8", false, 8},
-        // Direct per-put Delta appends (emit buffering off) must produce
-        // the same database as the buffered default, under both firing
-        // strategies and with the striped backend's bulk-append disabled.
-        Strategy{true, 1, false, "sequential_directEmit", false, 0, false},
-        Strategy{false, 4, false, "parallel4_directEmit", false, 0, false},
-        Strategy{false, 4, false, "parallel4_taskPerRule_directEmit", true, 0,
-                 false},
-        Strategy{false, 4, false, "parallel4_stripedDelta8_directEmit", false,
-                 8, false}),
+        Strategy{false, 4, false, "parallel4_taskPerRule", true}),
     [](const auto& info) { return info.param.label; });
 
 // §5.2: with task_per_rule every rule of a multi-rule table fires in its

@@ -16,7 +16,6 @@
 
 #include "concurrent/skip_list_map.h"
 #include "core/delta_tree.h"
-#include "core/striped_delta_tree.h"
 #include "core/engine.h"
 #include "smt/fourier_motzkin.h"
 
@@ -205,40 +204,32 @@ DeltaKey make_key(std::mt19937_64& rng) {
 }
 
 TEST(DeltaTreeProperty, PopMinDrainsInStrictKeyOrder) {
-  for (const int backend : {0, 1, 2, 3}) {
-    std::mt19937_64 rng(41);
-    std::unique_ptr<DeltaTree> tree;
-    switch (backend) {
-      case 0: tree = std::make_unique<MapDeltaTree>(); break;
-      case 1: tree = std::make_unique<SkipDeltaTree>(); break;
-      case 2: tree = std::make_unique<StripedDeltaTree>(1); break;
-      default: tree = std::make_unique<StripedDeltaTree>(7); break;
-    }
-    std::set<DeltaKey, DeltaKeyLess> expect;
-    for (int i = 0; i < 3000; ++i) {
-      const DeltaKey k = make_key(rng);
-      tree->get_or_insert(k);
-      expect.insert(k);
-    }
-    EXPECT_EQ(tree->batch_count(), expect.size());
-    DeltaKey prev;
-    bool first = true;
-    std::size_t drained = 0;
-    DeltaKey key;
-    std::unique_ptr<BatchNode> node;
-    while (tree->pop_min(key, node)) {
-      if (!first) {
-        EXPECT_TRUE((prev <=> key) == std::strong_ordering::less)
-            << to_string(prev) << " !< " << to_string(key);
-      }
-      prev = key;
-      first = false;
-      ++drained;
-      EXPECT_TRUE(expect.count(key)) << to_string(key);
-    }
-    EXPECT_EQ(drained, expect.size());
-    EXPECT_TRUE(tree->empty());
+  std::mt19937_64 rng(41);
+  DeltaTree tree;
+  std::set<DeltaKey, DeltaKeyLess> expect;
+  for (int i = 0; i < 3000; ++i) {
+    const DeltaKey k = make_key(rng);
+    tree.get_or_insert(k);
+    expect.insert(k);
   }
+  EXPECT_EQ(tree.batch_count(), expect.size());
+  DeltaKey prev;
+  bool first = true;
+  std::size_t drained = 0;
+  DeltaKey key;
+  std::unique_ptr<BatchNode> node;
+  while (tree.pop_min(key, node)) {
+    if (!first) {
+      EXPECT_TRUE((prev <=> key) == std::strong_ordering::less)
+          << to_string(prev) << " !< " << to_string(key);
+    }
+    prev = key;
+    first = false;
+    ++drained;
+    EXPECT_TRUE(expect.count(key)) << to_string(key);
+  }
+  EXPECT_EQ(drained, expect.size());
+  EXPECT_TRUE(tree.empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -453,6 +453,39 @@ TEST(CountedTable, UpsertForceClearsIncumbentMultiplicity) {
   EXPECT_EQ(rows.get_unique(1), std::nullopt);
 }
 
+// Regression: many upserts of one pk in one batch.  A split insert phase
+// used to resolve them on different workers, where two could find the pk
+// slot free at once and the second threw "failed to claim the freed pk
+// slot".  Upserts now resolve in batch order under every strategy, so the
+// parallel engine lands on the sequential engine's rows: the last upsert
+// per pk wins, each earlier one displaced by its successor.
+TEST(CountedTable, ManyUpsertsOfOnePkInOneBatchResolveInBatchOrder) {
+  constexpr std::int64_t kPks = 64;
+  constexpr std::int64_t kUpsertsPerPk = 200;
+  const auto final_rows = [](const EngineOptions& opts) {
+    Engine eng(opts);
+    auto& rows = eng.table(row_decl("Row").primary_key(&Row::id));
+    for (std::int64_t v = 0; v < kUpsertsPerPk; ++v) {
+      for (std::int64_t id = 0; id < kPks; ++id) eng.upsert(rows, {id, v});
+    }
+    EXPECT_EQ(eng.run().batches, 1);
+    EXPECT_EQ(rows.stats().upsert_replaced.load(),
+              kPks * (kUpsertsPerPk - 1));
+    std::set<Row> out;
+    rows.scan([&out](const Row& r) { out.insert(r); });
+    return out;
+  };
+  std::set<Row> want;
+  for (std::int64_t id = 0; id < kPks; ++id) {
+    want.insert({id, kUpsertsPerPk - 1});
+  }
+  EngineOptions par;
+  par.sequential = false;
+  par.threads = 4;
+  EXPECT_EQ(final_rows(seq_opts()), want);
+  EXPECT_EQ(final_rows(par), want);
+}
+
 // --- windowed straggler semantics unified across substrates (bugfix) --------
 
 // Drives the three windowed substrates through the same script with a

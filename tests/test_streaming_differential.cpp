@@ -224,7 +224,6 @@ TEST(StreamingDifferential, FlagMatrixUnderStreamingMatchesOracle) {
           opts.sequential = sequential;
           opts.threads = 2;
           opts.task_per_rule = !sequential;
-          opts.delta_stripes = sequential ? 0 : 4;
           if (no_delta) opts.no_delta.insert("Tok");
           if (no_gamma) opts.no_gamma.insert("Tok");
           ASSERT_EQ(streaming_single_fixpoint(c, opts), expect)
